@@ -72,18 +72,25 @@ void BM_MaxCandidateSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxCandidateSelection)->Arg(10)->Arg(100);
 
+// Offers cycling over 2χ ids into a pre-filled cache of χ: half re-offer
+// a cached id in place, half miss and take the eviction path (evict the
+// widest or reject). Per-op time should stay flat in χ.
 void BM_CacheOffer(benchmark::State& state) {
-  Cache cache(64);
+  const int capacity = static_cast<int>(state.range(0));
+  Cache cache(static_cast<size_t>(capacity));
   Rng rng(7);
   CachedApprox approx;
   approx.base = Interval(0, 1);
+  for (int id = 0; id < capacity; ++id) {
+    cache.Offer(id, approx, rng.Uniform(0, 100));
+  }
   int id = 0;
   for (auto _ : state) {
     cache.Offer(id, approx, rng.Uniform(0, 100));
-    id = (id + 1) % 128;  // half the offers hit capacity pressure
+    id = (id + 1) % (2 * capacity);
   }
 }
-BENCHMARK(BM_CacheOffer);
+BENCHMARK(BM_CacheOffer)->Arg(64)->Arg(512)->Arg(4096);
 
 }  // namespace
 

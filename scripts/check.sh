@@ -34,10 +34,12 @@
 #                               # replay + scenario suites, a
 #                               # bench_scenarios smoke (its exit gate is
 #                               # zero mid-run precision violations on
-#                               # every row), then rerun the concurrent
-#                               # scenario stress variants (thundering
-#                               # herd, hotspot migration) under
-#                               # ThreadSanitizer
+#                               # every row; every row's total_cost must
+#                               # equal the committed
+#                               # BENCH_scenarios.json), then rerun the
+#                               # concurrent scenario stress variants
+#                               # (thundering herd, hotspot migration)
+#                               # under ThreadSanitizer
 #   scripts/check.sh --analyze  # clang thread-safety analysis: build the
 #                               # whole tree with clang and
 #                               # -Werror=thread-safety(-beta) over the APC_*
@@ -133,7 +135,8 @@ if [[ "${1:-}" == "--scenarios" ]]; then
   # suites — trace round-trip replay, generator/runner checks, lockstep
   # fuzz, determinism; (2) a bench_scenarios smoke whose own exit code
   # enforces zero mid-run precision violations with active checkers on
-  # every scenario x policy row; (3) the two genuinely concurrent scenario
+  # every scenario x policy row, and whose costs must reproduce the
+  # committed trajectory exactly; (3) the two genuinely concurrent scenario
   # stress variants (subscriber thundering herd, hotspot migration with
   # racing edge readers) rebuilt and rerun under ThreadSanitizer.
   cmake -B build -S .
@@ -142,13 +145,30 @@ if [[ "${1:-}" == "--scenarios" ]]; then
         --timeout "$CTEST_TIMEOUT" \
         -R '^(trace_io_test|trace_replay_test|scenario_test|scenario_fuzz_test|scenario_determinism_test)$'
   ./build/bench_scenarios 240 1 build/BENCH_scenarios.json
+  # Determinism gate: every scenario is a fixed schedule, so each row's
+  # total_cost must equal the committed BENCH_scenarios.json (generated
+  # with the same `240 1` arguments). A protocol change that moves any
+  # refresh or eviction decision fails here instead of drifting silently.
+  python3 - BENCH_scenarios.json build/BENCH_scenarios.json <<'PY'
+import json, sys
+def costs(path):
+    return {(r["scenario"], r["policy"]): r["total_cost"]
+            for r in json.load(open(path))["runs"]}
+want, got = costs(sys.argv[1]), costs(sys.argv[2])
+bad = [(k, want.get(k), got.get(k)) for k in sorted(set(want) | set(got))
+       if want.get(k) != got.get(k)]
+for (scenario, policy), w, g in bad:
+    print(f"check.sh: total_cost drift {scenario}/{policy}: "
+          f"committed {w}, now {g}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
 
   cmake -B build-tsan -S . -DAPC_SANITIZE=thread -DAPCACHE_BUILD_BENCHES=OFF \
         -DAPCACHE_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
         --timeout "$CTEST_TIMEOUT" -R '^scenario_test$'
-  pass "scenario suites, bench gate (0 violations), and TSan stress clean"
+  pass "scenario suites, bench gate (0 violations, committed costs), and TSan stress clean"
 fi
 
 if [[ "${1:-}" == "--analyze" ]]; then

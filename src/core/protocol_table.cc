@@ -11,23 +11,10 @@ const ProtocolEntry* EntryStore::Find(int id) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-int EntryStore::WidestId() const {
-  int widest = -1;
-  double widest_width = -1.0;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.raw_width > widest_width ||
-        (entry.raw_width == widest_width && id > widest)) {
-      widest = id;
-      widest_width = entry.raw_width;
-    }
-  }
-  return widest;
-}
-
 EntryStore::OfferResult EntryStore::OfferEx(int id, const CachedApprox& approx,
                                             double raw_width) {
   OfferResult result = OfferUnmirrored(id, approx, raw_width);
-  if (result.evicted_id >= 0) {
+  if (result.evicted) {
     if (VersionedSlot* evicted = SlotFor(result.evicted_id)) {
       WriteSlot(*evicted, CachedApprox{}, /*cached=*/false);
     }
@@ -47,31 +34,81 @@ EntryStore::OfferResult EntryStore::OfferUnmirrored(int id,
   if (it != entries_.end()) {
     it->second.approx = approx;
     it->second.raw_width = raw_width;
+    HeapFix(it->second.heap_pos);
     return {true, -1};
   }
   if (entries_.size() < capacity_) {
-    entries_.emplace(id, ProtocolEntry{approx, raw_width});
+    it = entries_.emplace(id, IndexedEntry{{approx, raw_width}}).first;
+    heap_.push_back(&*it);
+    SiftUp(heap_.size() - 1);
     return {true, -1};
   }
   if (capacity_ == 0) return {false, -1};
-  int widest = WidestId();
-  const ProtocolEntry& incumbent = entries_.at(widest);
+  const Node& incumbent = *heap_.front();
+  const int widest = incumbent.first;
   // "the modified approximation may still be the widest and remain
   // uncached" — ties keep the incumbent to avoid pointless churn.
-  if (raw_width >= incumbent.raw_width) return {false, -1};
-  entries_.erase(widest);
-  entries_.emplace(id, ProtocolEntry{approx, raw_width});
+  if (raw_width >= incumbent.second.raw_width) return {false, -1};
+  // Re-key the evicted node for the newcomer: no allocation. Its key drops
+  // below the old root's, so it can only sink.
+  auto node = entries_.extract(widest);
+  node.key() = id;
+  node.mapped() = IndexedEntry{{approx, raw_width}};
+  HeapPlace(0, &*entries_.insert(std::move(node)).position);
+  SiftDown(0);
 #if APC_CACHE_INSTRUMENT
   evictions_.fetch_add(1, std::memory_order_relaxed);
 #endif
-  return {true, widest};
+  return {true, widest, /*evicted=*/true};
 }
 
 void EntryStore::Erase(int id) {
-  if (entries_.erase(id) == 0) return;
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  HeapRemove(it->second.heap_pos);
+  entries_.erase(it);
   if (VersionedSlot* slot = SlotFor(id)) {
     WriteSlot(*slot, CachedApprox{}, /*cached=*/false);
   }
+}
+
+void EntryStore::SiftUp(size_t pos) {
+  Node* node = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!HeapBelow(heap_[parent], node)) break;
+    HeapPlace(pos, heap_[parent]);
+    pos = parent;
+  }
+  HeapPlace(pos, node);
+}
+
+void EntryStore::SiftDown(size_t pos) {
+  Node* node = heap_[pos];
+  const size_t n = heap_.size();
+  for (size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && HeapBelow(heap_[child], heap_[child + 1])) ++child;
+    if (!HeapBelow(node, heap_[child])) break;
+    HeapPlace(pos, heap_[child]);
+    pos = child;
+  }
+  HeapPlace(pos, node);
+}
+
+void EntryStore::HeapFix(size_t pos) {
+  if (pos > 0 && HeapBelow(heap_[(pos - 1) / 2], heap_[pos])) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
+  }
+}
+
+void EntryStore::HeapRemove(size_t pos) {
+  Node* last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  HeapPlace(pos, last);
+  HeapFix(pos);
 }
 
 bool EntryStore::RegisterSlot(int id) {
@@ -156,7 +193,7 @@ void ProtocolTable::OfferMirrored(int id, const CachedApprox& approx,
   // The store publishes the slab mirror itself (evicted slot first, then
   // the offered slot); this layer adds the trace and dirty-id outcomes.
   EntryStore::OfferResult result = store_.OfferEx(id, approx, raw_width);
-  if (result.evicted_id >= 0) {
+  if (result.evicted) {
     // The evicted id's visible interval widened to unbounded — a change a
     // standing query over it must hear about.
     MarkDirty(result.evicted_id);

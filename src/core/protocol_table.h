@@ -65,10 +65,18 @@ struct alignas(64) VersionedSlot {
 /// a `VersionedSlot` in one contiguous, index-addressed slab (each slot one
 /// cache line), plus a dense id→index vector so the optimistic read path
 /// does zero hashing and zero pointer chasing. The cold eviction metadata
-/// (raw widths, the full CachedApprox) stays in the per-entry map — only
-/// eviction decisions and authoritative locked reads walk it. Mutators
-/// mirror every visible-state change into the slab; direct `Cache` users
-/// that never register slots pay nothing for the mirror.
+/// (raw widths, the full CachedApprox) stays in the per-entry map, which
+/// only authoritative locked reads consult. Mutators mirror every
+/// visible-state change into the slab; direct `Cache` users that never
+/// register slots pay nothing for the mirror.
+///
+/// The eviction index: a binary max-heap over the map's nodes, ordered by
+/// (raw width, id), so the widest entry — ties to the larger id — is always
+/// at the root. Each entry records its heap position, so an offer, an
+/// eviction or an erase costs O(log χ) and WidestId() is O(1). The heap
+/// holds one pointer per entry in a vector reserved to χ, and an eviction
+/// re-keys the evicted map node for the newcomer, so a full store evicts
+/// and re-inserts without touching the allocator.
 ///
 /// Charging and locking contract: the store never charges costs (charging
 /// is ProtocolTable's job), and every method requires the owner's external
@@ -83,12 +91,22 @@ class EntryStore {
   struct OfferResult {
     /// The offered approximation is cached afterwards.
     bool cached = false;
-    /// Id evicted to make room, or -1.
+    /// Id evicted to make room; meaningful only when `evicted`.
     int evicted_id = -1;
+    /// An entry was evicted (ids may be negative, so -1 is no sentinel).
+    bool evicted = false;
   };
 
+  /// A cached entry plus its position in the eviction heap.
+  struct IndexedEntry : ProtocolEntry {
+    uint32_t heap_pos = 0;
+  };
+  using EntryMap = std::unordered_map<int, IndexedEntry>;
+
   /// `capacity` is the paper's χ: the number of approximations held.
-  explicit EntryStore(size_t capacity) : capacity_(capacity) {}
+  explicit EntryStore(size_t capacity) : capacity_(capacity) {
+    heap_.reserve(capacity);
+  }
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return entries_.size(); }
@@ -116,12 +134,10 @@ class EntryStore {
 
   /// Id of the entry with the largest raw width, or -1 when empty. Ties
   /// keep the larger id, so the choice is deterministic regardless of map
-  /// iteration order.
-  int WidestId() const;
+  /// iteration order. O(1): the root of the eviction heap.
+  int WidestId() const { return heap_.empty() ? -1 : heap_.front()->first; }
 
-  const std::unordered_map<int, ProtocolEntry>& entries() const {
-    return entries_;
-  }
+  const EntryMap& entries() const { return entries_; }
 
   // -- the seqlock slot slab -------------------------------------------
   // Hot read-path state, contiguous and index-addressed. Registration is
@@ -212,8 +228,29 @@ class EntryStore {
   static void WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
                         bool cached);
 
+  // -- the eviction heap ------------------------------------------------
+  using Node = EntryMap::value_type;
+  /// Heap order: (raw width, id) lexicographic, so the root is the widest
+  /// entry and equal widths rank the larger id higher.
+  static bool HeapBelow(const Node* a, const Node* b) {
+    const double wa = a->second.raw_width;
+    const double wb = b->second.raw_width;
+    return wa < wb || (wa == wb && a->first < b->first);
+  }
+  void HeapPlace(size_t pos, Node* node) {
+    heap_[pos] = node;
+    node->second.heap_pos = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  /// Restores the heap order after the key at `pos` changed either way.
+  void HeapFix(size_t pos);
+  void HeapRemove(size_t pos);
+
   size_t capacity_;
-  std::unordered_map<int, ProtocolEntry> entries_;
+  EntryMap entries_;
+  // Pointers into entries_' nodes, which stay put across rehashes.
+  std::vector<Node*> heap_;
 
   // The slab: one cache line per registered id, contiguous, never moved
   // after registration ends (growth only happens during registration,
@@ -392,9 +429,7 @@ class ProtocolTable {
   size_t size() const { return store_.size(); }
   size_t capacity() const { return store_.capacity(); }
   int WidestId() const { return store_.WidestId(); }
-  const std::unordered_map<int, ProtocolEntry>& entries() const {
-    return store_.entries();
-  }
+  const EntryStore::EntryMap& entries() const { return store_.entries(); }
 
   // -- change detection (the subscription hook) -------------------------
   // The write path records which ids' cached visible state changed — an

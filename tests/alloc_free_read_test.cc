@@ -1,7 +1,8 @@
 // The read hot path's allocation contract, enforced: once per-thread
 // scratch buffers are warm, PointRead, ExecuteQuery (all four aggregate
 // kinds), and the driver's query-generation loop perform ZERO heap
-// allocations in steady state — in every read-lock mode. The test swaps in
+// allocations in steady state — in every read-lock mode, and also when the
+// cache is over-subscribed and every pull evicts. The test swaps in
 // counting global operator new/delete and asserts the measured window is
 // allocation-free, so any std::stable_sort temporary buffer, by-value
 // vector return, or per-query Query construction that sneaks back into the
@@ -14,22 +15,28 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "runtime/sharded_engine.h"
 #include "runtime/workload_driver.h"
 
 namespace {
 
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::int64_t> g_allocations{0};
+// Only the measuring thread counts: the read path runs synchronously on
+// the caller (no update pump is started), while the engine's notifier
+// thread makes its own first allocation whenever the scheduler first runs
+// it, which on a loaded host can fall inside the measured window.
+thread_local bool t_count_allocations = false;
+thread_local std::int64_t t_allocations = 0;
 
 void* CountedAlloc(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (t_count_allocations) {
+    ++t_allocations;
 #ifdef APC_ALLOC_TEST_BACKTRACE
     void* frames[16];
     int n = backtrace(frames, 16);
@@ -56,14 +63,14 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace apc {
 namespace {
 
-/// Allocations observed while running `body` with counting enabled.
+/// Allocations this thread makes while running `body`.
 template <typename Body>
 std::int64_t CountAllocations(Body&& body) {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_count_allocations.store(true, std::memory_order_relaxed);
+  t_allocations = 0;
+  t_count_allocations = true;
   body();
-  g_count_allocations.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
+  t_count_allocations = false;
+  return t_allocations;
 }
 
 TEST(AllocFreeReadTest, SteadyStateReadsAllocateNothing) {
@@ -71,12 +78,10 @@ TEST(AllocFreeReadTest, SteadyStateReadsAllocateNothing) {
   for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared,
                             ReadLockMode::kExclusive}) {
     EngineConfig config;
-    // Every shard gets a capacity slice covering the full population: ids
-    // are hash-partitioned unevenly, so a merely-equal total capacity
-    // would leave some shard over-subscribed and churning evictions —
-    // each eviction/re-insert pair is a map-node allocation. The
-    // no-eviction steady state (the parity topology) re-offers entries in
-    // place and never touches the allocator.
+    // Every shard gets a capacity slice covering the full population, so
+    // this is the no-eviction steady state (the parity topology): entries
+    // are re-offered in place. The over-subscribed case, where pulls evict,
+    // is EvictingReadsAllocateNothing below.
     config.system.cache_capacity = 3 * kSources;
     config.num_shards = 3;
     config.seed = 11;
@@ -120,6 +125,62 @@ TEST(AllocFreeReadTest, SteadyStateReadsAllocateNothing) {
         << "read path allocated in steady state in mode "
         << static_cast<int>(mode);
   }
+}
+
+// Over-subscribed: the cache holds a third of the sources and every read
+// demands an exact answer, so each pull of an uncached id meets a full
+// shard and either evicts the widest entry or is rejected. The eviction
+// index and the re-keyed map node make that path allocation-free too.
+TEST(AllocFreeReadTest, EvictingReadsAllocateNothing) {
+  constexpr int kSources = 48;
+  EngineConfig config;
+  config.system.cache_capacity = kSources / 3;
+  config.num_shards = 2;
+  config.seed = 13;
+  ShardedEngine engine(
+      config, BuildRandomWalkSources(kSources, RandomWalkParams{},
+                                     AdaptivePolicyParams{}, /*seed=*/13));
+  engine.PopulateInitial(0);
+
+  QueryWorkloadParams workload;
+  workload.num_sources = kSources;
+  workload.group_size = 8;
+  workload.max_fraction = 0.25;
+  workload.min_fraction = 0.25;
+  workload.avg_fraction = 0.25;
+  QueryGenerator gen(workload, /*seed=*/23);
+  Query query;
+  auto run_queries = [&](int64_t now) {
+    for (int i = 0; i < 64; ++i) {
+      gen.Next(&query);
+      query.constraint = 0.0;  // exact answers: every member is pulled
+      engine.ExecuteQuery(query, now);
+      engine.PointRead(query.source_ids.front(), /*max_width=*/0.0, now);
+    }
+  };
+  auto cached_ids = [&](int64_t now) {
+    std::vector<int> ids;
+    for (int id = 0; id < kSources; ++id) {
+      if (!engine.shard(engine.ShardOf(id)).VisibleInterval(id, now)
+               .IsUnbounded()) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+  run_queries(/*now=*/0);
+
+  std::vector<int> before = cached_ids(1);
+  std::int64_t allocations = CountAllocations([&] { run_queries(1); });
+  std::vector<int> after = cached_ids(1);
+  EXPECT_EQ(allocations, 0) << "evicting read path allocated";
+
+  // The window really evicted: some id cached before it is not after.
+  int evicted = 0;
+  for (int id : before) {
+    evicted += std::find(after.begin(), after.end(), id) == after.end();
+  }
+  EXPECT_GT(evicted, 0);
 }
 
 }  // namespace

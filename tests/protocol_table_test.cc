@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 
 #include "core/adaptive_policy.h"
 #include "core/precision_policy.h"
+#include "util/rng.h"
 
 namespace apc {
 namespace {
@@ -100,6 +104,153 @@ TEST(EntryStoreTest, OfferExReportsEviction) {
   EXPECT_FALSE(result.cached);
   EXPECT_EQ(result.evicted_id, -1);
   EXPECT_EQ(store.size(), 2u);
+}
+
+/// Brute-force reference for EntryStore's eviction rule: the full scan the
+/// store's eviction index replaced, kept here as the oracle.
+class ReferenceStore {
+ public:
+  explicit ReferenceStore(size_t capacity) : capacity_(capacity) {}
+
+  int WidestId() const {
+    int widest = -1;
+    double widest_width = -1.0;
+    for (const auto& [id, entry] : entries_) {
+      if (entry.second > widest_width ||
+          (entry.second == widest_width && id > widest)) {
+        widest = id;
+        widest_width = entry.second;
+      }
+    }
+    return widest;
+  }
+
+  EntryStore::OfferResult Offer(int id, const CachedApprox& approx,
+                                double raw_width) {
+    auto it = entries_.find(id);
+    if (it != entries_.end()) {
+      it->second = {approx, raw_width};
+      return {true, -1};
+    }
+    if (entries_.size() < capacity_) {
+      entries_.emplace(id, std::make_pair(approx, raw_width));
+      return {true, -1};
+    }
+    if (capacity_ == 0) return {false, -1};
+    int widest = WidestId();
+    if (raw_width >= entries_.at(widest).second) return {false, -1};
+    entries_.erase(widest);
+    entries_.emplace(id, std::make_pair(approx, raw_width));
+    return {true, widest, /*evicted=*/true};
+  }
+
+  void Erase(int id) { entries_.erase(id); }
+
+  const std::pair<CachedApprox, double>* Find(int id) const {
+    auto it = entries_.find(id);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  size_t capacity_;
+  std::unordered_map<int, std::pair<CachedApprox, double>> entries_;
+};
+
+/// How the oracle test draws raw widths.
+enum class WidthMix {
+  kAllEqual,  // every width 1e-30: ties decide every eviction
+  kFewLevels, // four distinct widths: frequent ties among many entries
+  kSpread,    // continuous widths plus occasional 0 and +infinity
+};
+
+double DrawWidth(WidthMix mix, Rng& rng) {
+  switch (mix) {
+    case WidthMix::kAllEqual:
+      return 1e-30;
+    case WidthMix::kFewLevels:
+      return 0.5 * static_cast<double>(1 << rng.UniformInt(0, 3));
+    case WidthMix::kSpread: {
+      double u = rng.Uniform(0.0, 1.0);
+      if (u < 0.03) return 0.0;
+      if (u < 0.06) return std::numeric_limits<double>::infinity();
+      return rng.Uniform(0.0, 100.0);
+    }
+  }
+  return 0.0;
+}
+
+// Seeded random OfferEx/Erase sequences against the brute-force scan:
+// after every step the widest id, the offer outcome, every entry and every
+// seqlock slot must agree. Covers χ = 0 and 1, ties, offers that tie the
+// incumbent, and in-place re-offers that widen or narrow an entry.
+TEST(EntryStoreTest, EvictionIndexMatchesFullScanOracle) {
+  constexpr int kSteps = 3000;
+  for (WidthMix mix :
+       {WidthMix::kAllEqual, WidthMix::kFewLevels, WidthMix::kSpread}) {
+    for (size_t capacity : {0, 1, 2, 3, 7, 64}) {
+      for (uint64_t seed : {1, 2}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "mix=" << static_cast<int>(mix) << " capacity="
+                     << capacity << " seed=" << seed);
+        // Ids span negative (sparse slot route) through 3χ + 4, so offers
+        // hit cached ids (in place) and uncached ones (evict or reject).
+        const int lo_id = -3;
+        const int hi_id = static_cast<int>(3 * capacity) + 4;
+        EntryStore store(capacity);
+        ReferenceStore reference(capacity);
+        for (int id = lo_id; id <= hi_id; ++id) {
+          ASSERT_TRUE(store.RegisterSlot(id));
+        }
+        Rng rng(seed);
+        for (int step = 0; step < kSteps; ++step) {
+          int id = static_cast<int>(rng.UniformInt(lo_id, hi_id));
+          double raw_width = DrawWidth(mix, rng);
+          double u = rng.Uniform(0.0, 1.0);
+          if (u < 0.1) {
+            store.Erase(id);
+            reference.Erase(id);
+          } else {
+            if (u < 0.2 && reference.WidestId() != -1) {
+              // An offer that exactly ties the incumbent is rejected.
+              raw_width = reference.Find(reference.WidestId())->second;
+            }
+            CachedApprox approx;
+            approx.base = Interval(static_cast<double>(step),
+                                   static_cast<double>(step) + 1.0);
+            approx.refresh_time = step;
+            EntryStore::OfferResult got = store.OfferEx(id, approx, raw_width);
+            EntryStore::OfferResult want =
+                reference.Offer(id, approx, raw_width);
+            ASSERT_EQ(got.cached, want.cached) << "step " << step;
+            ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+            ASSERT_EQ(got.evicted_id, want.evicted_id) << "step " << step;
+          }
+          ASSERT_EQ(store.WidestId(), reference.WidestId()) << "step " << step;
+          ASSERT_EQ(store.size(), reference.size()) << "step " << step;
+          for (int probe = lo_id; probe <= hi_id; ++probe) {
+            const ProtocolEntry* entry = store.Find(probe);
+            const auto* expected = reference.Find(probe);
+            ASSERT_EQ(entry != nullptr, expected != nullptr)
+                << "step " << step << " id " << probe;
+            const VersionedSlot& slot =
+                store.SlotAt(store.SlotIndexOf(probe));
+            ASSERT_EQ(slot.cached.load(std::memory_order_relaxed),
+                      expected != nullptr)
+                << "step " << step << " id " << probe;
+            if (expected == nullptr) continue;
+            ASSERT_EQ(entry->raw_width, expected->second);
+            ASSERT_EQ(entry->approx.refresh_time,
+                      expected->first.refresh_time);
+            ASSERT_EQ(slot.lo.load(std::memory_order_relaxed),
+                      expected->first.base.lo());
+            ASSERT_EQ(slot.refresh_time.load(std::memory_order_relaxed),
+                      expected->first.refresh_time);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ProtocolTableTest, ChargedButLostPushes) {
