@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
-// width adjustment, interval algebra, refresh-set selection and cache
-// offers. These quantify the per-refresh overhead of the adaptive
-// algorithm — the paper's pitch is that it needs no history or monitoring,
-// so a width update should be a handful of nanoseconds.
+// width adjustment, interval algebra, refresh-set selection, cache offers
+// and a whole sharded aggregate query. These quantify the per-refresh
+// overhead of the adaptive algorithm — the paper's pitch is that it needs
+// no history or monitoring, so a width update should be a handful of
+// nanoseconds.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +11,8 @@
 #include "cache/cache.h"
 #include "core/adaptive_policy.h"
 #include "query/aggregate.h"
+#include "runtime/sharded_engine.h"
+#include "runtime/workload_driver.h"
 #include "util/rng.h"
 
 namespace {
@@ -91,6 +94,51 @@ void BM_CacheOffer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheOffer)->Arg(64)->Arg(512)->Arg(4096);
+
+// One ShardedEngine::ExecuteQuery end to end, single-threaded, no update
+// pump: route and validate the ids, snapshot the seqlock slots, run the
+// refresh selection and pull what it picks (with the evictions the pulls'
+// re-offers cause). 4 shards, 4096 sources, χ = 2048, so about half of
+// every group is uncached and must be pulled. Queries cycle over a
+// pre-drawn ring of uniform groups with constraint 8. The iteration count
+// is fixed: the cache state a query meets depends on how many ran before
+// it, so every run (and every commit, decisions being identical) times
+// the same sequence.
+// Args: aggregate kind (AggregateKind: 0 SUM, 1 MAX, 2 MIN, 3 AVG), group
+// size.
+void BM_ExecuteQuery(benchmark::State& state) {
+  constexpr int kSources = 4096;
+  constexpr size_t kRing = 4096;
+  const auto kind = static_cast<AggregateKind>(state.range(0));
+  const int group = static_cast<int>(state.range(1));
+  EngineConfig config;
+  config.num_shards = 4;
+  config.system.cache_capacity = 2048;
+  ShardedEngine engine(config,
+                       BuildRandomWalkSources(kSources, RandomWalkParams{},
+                                              AdaptivePolicyParams{}, 7));
+  engine.PopulateInitial(0);
+  Rng rng(11);
+  std::vector<Query> queries(kRing);
+  for (Query& query : queries) {
+    query.kind = kind;
+    query.constraint = 8.0;
+    for (int i = 0; i < group; ++i) {
+      query.source_ids.push_back(
+          static_cast<int>(rng.UniformInt(0, kSources - 1)));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    Interval result = engine.ExecuteQuery(queries[next], 0);
+    benchmark::DoNotOptimize(result);
+    next = (next + 1) % kRing;
+  }
+}
+BENCHMARK(BM_ExecuteQuery)
+    ->ArgNames({"kind", "group"})
+    ->ArgsProduct({{0, 1, 2, 3}, {8, 16}})
+    ->Iterations(1 << 18);
 
 }  // namespace
 

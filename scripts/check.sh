@@ -40,6 +40,12 @@
 #                               # concurrent scenario stress variants
 #                               # (thundering herd, hotspot migration)
 #                               # under ThreadSanitizer
+#   scripts/check.sh --perfbench # repository-benchmark smoke: every
+#                               # perfbench workload for 2 s untraced, plus
+#                               # one traced refresh_churn run; fails when
+#                               # run.py exits nonzero (a build failure, a
+#                               # wrong answer, or offered != applied
+#                               # updates)
 #   scripts/check.sh --analyze  # clang thread-safety analysis: build the
 #                               # whole tree with clang and
 #                               # -Werror=thread-safety(-beta) over the APC_*
@@ -169,6 +175,20 @@ PY
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
         --timeout "$CTEST_TIMEOUT" -R '^scenario_test$'
   pass "scenario suites, bench gate (0 violations, committed costs), and TSan stress clean"
+fi
+
+if [[ "${1:-}" == "--perfbench" ]]; then
+  # The repository benchmark (BENCHMARK.json, perfbench/) as a correctness
+  # smoke, not a measurement: run.py builds its own Release tree, checks
+  # every answer against its constraint and the exact values, and exits
+  # nonzero on any failure, which set -e turns into a FAIL here.
+  for workload in read_hot refresh_churn tiered_push; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+            --trace 0
+  done
+  python3 perfbench/run.py --workload refresh_churn --seed 1 --seconds 2 \
+          --trace 1
+  pass "perfbench smoke: every workload answered correctly, all offered updates applied"
 fi
 
 if [[ "${1:-}" == "--analyze" ]]; then

@@ -1,98 +1,93 @@
 #include "core/protocol_table.h"
 
+#include <cassert>
+
 #include "obs/attribution.h"
 #include "obs/trace.h"
 
 namespace apc {
 
 const ProtocolEntry* EntryStore::Find(int id) const {
-  auto it = entries_.find(id);
-  NoteSlotProbe(/*hit=*/it != entries_.end());
-  return it == entries_.end() ? nullptr : &it->second;
+  uint32_t slot = SlotIndexOf(id);
+  bool hit = slot != kNoSlot && entries_[slot].heap_pos != kNotCached;
+  NoteSlotProbe(hit);
+  return hit ? &entries_[slot] : nullptr;
 }
 
 EntryStore::OfferResult EntryStore::OfferEx(int id, const CachedApprox& approx,
                                             double raw_width) {
-  OfferResult result = OfferUnmirrored(id, approx, raw_width);
-  if (result.evicted) {
-    if (VersionedSlot* evicted = SlotFor(result.evicted_id)) {
-      WriteSlot(*evicted, CachedApprox{}, /*cached=*/false);
-    }
+  uint32_t slot = SlotIndexOf(id);
+  if (slot != kNoSlot && entries_[slot].heap_pos != kNotCached) {
+    // Cached: replace in place and re-sift.
+    SlotEntry& entry = entries_[slot];
+    entry.approx = approx;
+    entry.raw_width = raw_width;
+    HeapFix(entry.heap_pos);
+    WriteSlot(slab_[slot], approx, /*cached=*/true);
+    return {true, -1};
   }
-  if (result.cached) {
-    if (VersionedSlot* slot = SlotFor(id)) {
-      WriteSlot(*slot, approx, /*cached=*/true);
-    }
+  const bool full = heap_.size() >= capacity_;
+  // "the modified approximation may still be the widest and remain
+  // uncached" — ties keep the incumbent to avoid pointless churn.
+  if (full && (capacity_ == 0 ||
+               raw_width >= entries_[heap_.front()].raw_width)) {
+    return {false, -1};
   }
+  if (slot == kNoSlot) slot = AddSlot(id);
+  entries_[slot].approx = approx;
+  entries_[slot].raw_width = raw_width;
+  OfferResult result{/*cached=*/true, -1};
+  if (!full) {
+    heap_.push_back(slot);
+    SiftUp(heap_.size() - 1);
+  } else {
+    // The newcomer takes the root's heap position; its key is below the
+    // old root's, so it can only sink. Nothing moves but two heap_pos
+    // fields.
+    const uint32_t widest = heap_.front();
+    entries_[widest].heap_pos = kNotCached;
+    HeapPlace(0, slot);
+    SiftDown(0);
+    WriteSlot(slab_[widest], CachedApprox{}, /*cached=*/false);
+#if APC_CACHE_INSTRUMENT
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+#endif
+    result.evicted = true;
+    result.evicted_id = entries_[widest].id;
+  }
+  WriteSlot(slab_[slot], approx, /*cached=*/true);
   return result;
 }
 
-EntryStore::OfferResult EntryStore::OfferUnmirrored(int id,
-                                                    const CachedApprox& approx,
-                                                    double raw_width) {
-  auto it = entries_.find(id);
-  if (it != entries_.end()) {
-    it->second.approx = approx;
-    it->second.raw_width = raw_width;
-    HeapFix(it->second.heap_pos);
-    return {true, -1};
-  }
-  if (entries_.size() < capacity_) {
-    it = entries_.emplace(id, IndexedEntry{{approx, raw_width}}).first;
-    heap_.push_back(&*it);
-    SiftUp(heap_.size() - 1);
-    return {true, -1};
-  }
-  if (capacity_ == 0) return {false, -1};
-  const Node& incumbent = *heap_.front();
-  const int widest = incumbent.first;
-  // "the modified approximation may still be the widest and remain
-  // uncached" — ties keep the incumbent to avoid pointless churn.
-  if (raw_width >= incumbent.second.raw_width) return {false, -1};
-  // Re-key the evicted node for the newcomer: no allocation. Its key drops
-  // below the old root's, so it can only sink.
-  auto node = entries_.extract(widest);
-  node.key() = id;
-  node.mapped() = IndexedEntry{{approx, raw_width}};
-  HeapPlace(0, &*entries_.insert(std::move(node)).position);
-  SiftDown(0);
-#if APC_CACHE_INSTRUMENT
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-#endif
-  return {true, widest, /*evicted=*/true};
-}
-
 void EntryStore::Erase(int id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  HeapRemove(it->second.heap_pos);
-  entries_.erase(it);
-  if (VersionedSlot* slot = SlotFor(id)) {
-    WriteSlot(*slot, CachedApprox{}, /*cached=*/false);
-  }
+  uint32_t slot = SlotIndexOf(id);
+  if (slot == kNoSlot || entries_[slot].heap_pos == kNotCached) return;
+  HeapRemove(entries_[slot].heap_pos);
+  entries_[slot].heap_pos = kNotCached;
+  WriteSlot(slab_[slot], CachedApprox{}, /*cached=*/false);
 }
 
 void EntryStore::SiftUp(size_t pos) {
-  Node* node = heap_[pos];
+  uint32_t slot = heap_[pos];
   while (pos > 0) {
     size_t parent = (pos - 1) / 2;
-    if (!HeapBelow(heap_[parent], node)) break;
+    if (!HeapBelow(heap_[parent], slot)) break;
     HeapPlace(pos, heap_[parent]);
     pos = parent;
   }
-  HeapPlace(pos, node);
+  HeapPlace(pos, slot);
 }
 
 void EntryStore::SiftDown(size_t pos) {
-  Node* node = heap_[pos];
+  uint32_t slot = heap_[pos];
   const size_t n = heap_.size();
   for (size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
     if (child + 1 < n && HeapBelow(heap_[child], heap_[child + 1])) ++child;
-    if (!HeapBelow(node, heap_[child])) break;
+    if (!HeapBelow(slot, heap_[child])) break;
     HeapPlace(pos, heap_[child]);
     pos = child;
   }
-  HeapPlace(pos, node);
+  HeapPlace(pos, slot);
 }
 
 void EntryStore::HeapFix(size_t pos) {
@@ -104,7 +99,7 @@ void EntryStore::HeapFix(size_t pos) {
 }
 
 void EntryStore::HeapRemove(size_t pos) {
-  Node* last = heap_.back();
+  uint32_t last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;
   HeapPlace(pos, last);
@@ -113,12 +108,19 @@ void EntryStore::HeapRemove(size_t pos) {
 
 bool EntryStore::RegisterSlot(int id) {
   if (SlotIndexOf(id) != kNoSlot) return false;
-  if (num_slots_ == slab_capacity_) {
+  AddSlot(id);
+  return true;
+}
+
+uint32_t EntryStore::AddSlot(int id) {
+  const size_t count = entries_.size();
+  if (count == slab_capacity_) {
     size_t next = slab_capacity_ == 0 ? 64 : slab_capacity_ * 2;
     auto grown = std::make_unique<VersionedSlot[]>(next);
-    // Registration is single-threaded by contract, so relaxed copies of
-    // the atomic payloads are safe; readers only start after it ends.
-    for (size_t i = 0; i < num_slots_; ++i) {
+    // Slots are added single-threaded by contract, so relaxed copies of
+    // the atomic payloads are safe; lock-free readers only start after
+    // registration ends.
+    for (size_t i = 0; i < count; ++i) {
       const VersionedSlot& from = slab_[i];
       VersionedSlot& to = grown[i];
       to.version.store(from.version.load(std::memory_order_relaxed),
@@ -141,16 +143,18 @@ bool EntryStore::RegisterSlot(int id) {
     slab_ = std::move(grown);
     slab_capacity_ = next;
   }
-  uint32_t index = static_cast<uint32_t>(num_slots_++);
+  const uint32_t slot = static_cast<uint32_t>(count);
+  entries_.emplace_back();
+  entries_.back().id = id;
   if (id >= 0 && static_cast<size_t>(id) < kDenseIdLimit) {
     if (dense_index_.size() <= static_cast<size_t>(id)) {
       dense_index_.resize(static_cast<size_t>(id) + 1, kNoSlot);
     }
-    dense_index_[static_cast<size_t>(id)] = index;
+    dense_index_[static_cast<size_t>(id)] = slot;
   } else {
-    sparse_index_.emplace(id, index);
+    sparse_index_.emplace(id, slot);
   }
-  return true;
+  return slot;
 }
 
 void EntryStore::WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
@@ -190,6 +194,9 @@ void ProtocolTable::DrainDirtyIds(std::vector<int>* out) {
 
 void ProtocolTable::OfferMirrored(int id, const CachedApprox& approx,
                                   double raw_width) {
+  // An unregistered id would get its slot here, growing the slab under
+  // any lock-free reader; every engine registers its ids at construction.
+  assert(store_.HasSlot(id) && "ProtocolTable offer of an unregistered id");
   // The store publishes the slab mirror itself (evicted slot first, then
   // the offered slot); this layer adds the trace and dirty-id outcomes.
   EntryStore::OfferResult result = store_.OfferEx(id, approx, raw_width);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -28,14 +29,15 @@ struct ProtocolEntry {
   double raw_width = 0.0;
 };
 
-/// Seqlock-protected mirror of one registered id's cached entry — the HOT
-/// half of the store's hot/cold split (the cold eviction metadata stays in
-/// the entry map). Writers (under the owner's exclusive synchronization)
-/// bump `version` to odd, store the payload with relaxed atomics, then
-/// publish an even version; readers validate the version around a relaxed
-/// copy. Plain fields would be a data race; atomics make the optimistic
-/// path well-defined. The struct is sized and aligned to one cache line so
-/// an optimistic read touches exactly one line and slots never false-share.
+/// Seqlock-protected mirror of one slot's cached entry — the HOT half of
+/// the store's hot/cold split (the cold eviction state lives in the
+/// store's entry vector at the same index). Writers (under the owner's
+/// exclusive synchronization) bump `version` to odd, store the payload
+/// with relaxed atomics, then publish an even version; readers validate
+/// the version around a relaxed copy. Plain fields would be a data race;
+/// atomics make the optimistic path well-defined. The struct is sized and
+/// aligned to one cache line so an optimistic read touches exactly one
+/// line and slots never false-share.
 // contracts-lint: allow(raw-atomic) -- seqlock slot payload: the atomics
 // ARE the synchronization protocol (version-validated optimistic reads),
 // not a tally; a mutex here would defeat the lock-free read path.
@@ -50,40 +52,46 @@ struct alignas(64) VersionedSlot {
   std::atomic<double> drift_rate{0.0};
 };
 
-/// Fixed-capacity map of interval approximations keyed by source id, with
-/// the paper's eviction rule: when full, evict the entry with the largest
-/// raw width — the least precise approximation contributes least to overall
-/// cache precision (paper §2). An offered approximation that would itself
-/// be the widest is rejected and the value simply stays uncached.
+/// Fixed-capacity store of interval approximations keyed by source id,
+/// with the paper's eviction rule: when full, evict the entry with the
+/// largest raw width — the least precise approximation contributes least
+/// to overall cache precision (paper §2). An offered approximation that
+/// would itself be the widest is rejected and the value simply stays
+/// uncached.
 ///
 /// This is the storage-and-eviction half of the protocol, factored out of
 /// the engines so the semantics exist once; `Cache` (cache/cache.h) is a
 /// thin alias kept for direct users, and ProtocolTable composes it with
 /// charging and the versioned read slots.
 ///
-/// Memory layout — the hot/cold split: ids registered via RegisterSlot get
-/// a `VersionedSlot` in one contiguous, index-addressed slab (each slot one
-/// cache line), plus a dense id→index vector so the optimistic read path
-/// does zero hashing and zero pointer chasing. The cold eviction metadata
-/// (raw widths, the full CachedApprox) stays in the per-entry map, which
-/// only authoritative locked reads consult. Mutators mirror every
-/// visible-state change into the slab; direct `Cache` users that never
-/// register slots pay nothing for the mirror.
+/// Memory layout — one id→slot map, everything else indexed by slot.
+/// Every id the store knows has a dense slot index, handed out in
+/// registration order by RegisterSlot (engines register every id at
+/// construction, so an engine's slot index equals its own source index)
+/// or, for direct `Cache` users that never register, on the id's first
+/// cached offer. The id→slot map is a direct vector for ids in
+/// [0, 2^20) and a hash map only for negative or huge ids. The slot index
+/// addresses both halves of the hot/cold split: the `VersionedSlot` slab
+/// (one cache line per slot, read lock-free) and the entry vector (the
+/// full CachedApprox, raw width, eviction-heap position and id, read by
+/// authoritative locked paths). Mutators mirror every visible-state change
+/// into the slab.
 ///
-/// The eviction index: a binary max-heap over the map's nodes, ordered by
-/// (raw width, id), so the widest entry — ties to the larger id — is always
-/// at the root. Each entry records its heap position, so an offer, an
-/// eviction or an erase costs O(log χ) and WidestId() is O(1). The heap
-/// holds one pointer per entry in a vector reserved to χ, and an eviction
-/// re-keys the evicted map node for the newcomer, so a full store evicts
-/// and re-inserts without touching the allocator.
+/// The eviction index: a binary max-heap of slot indices, ordered by
+/// (raw width, id), so the widest entry — ties to the larger id — is
+/// always at the root. Each entry records its heap position (kNotCached
+/// when the slot holds no cached approximation), so an offer, an eviction
+/// or an erase costs O(log χ) and WidestId() is O(1). An eviction flips
+/// the evicted and the admitted slot's heap positions in place: no entry
+/// moves and nothing allocates once every id has its slot.
 ///
 /// Charging and locking contract: the store never charges costs (charging
 /// is ProtocolTable's job), and every method requires the owner's external
 /// synchronization — mutators exclusively, const readers at least shared.
 /// The sole exceptions are the slot readers (SlotIndexOf/SlotAt/HasSlot/
-/// num_slots): the id→index mapping is immutable once registration ends,
-/// so they are safe from any thread with no lock held.
+/// num_slots): once registration ends, and as long as no unregistered id
+/// is offered, the id→slot map is immutable, so they are safe from any
+/// thread with no lock held.
 class EntryStore {
  public:
   /// What an Offer did, so callers maintaining derived state (the seqlock
@@ -97,19 +105,13 @@ class EntryStore {
     bool evicted = false;
   };
 
-  /// A cached entry plus its position in the eviction heap.
-  struct IndexedEntry : ProtocolEntry {
-    uint32_t heap_pos = 0;
-  };
-  using EntryMap = std::unordered_map<int, IndexedEntry>;
-
   /// `capacity` is the paper's χ: the number of approximations held.
   explicit EntryStore(size_t capacity) : capacity_(capacity) {
     heap_.reserve(capacity);
   }
 
   size_t capacity() const { return capacity_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return heap_.size(); }
 
   /// Returns the entry for `id`, or nullptr when not cached.
   const ProtocolEntry* Find(int id) const;
@@ -123,38 +125,55 @@ class EntryStore {
   }
 
   /// Offer variant reporting the eviction, for mirrored-state maintainers.
-  /// Mirrors the change into the seqlock slab: the evicted id's slot (if
-  /// registered) is published not-cached, then the offered id's slot is
-  /// published with the fresh approximation.
+  /// Mirrors the change into the seqlock slab: the evicted id's slot is
+  /// published not-cached, then the offered id's slot is published with
+  /// the fresh approximation. An id without a slot gets one here when the
+  /// offer is cached (a rejected offer allocates nothing).
   OfferResult OfferEx(int id, const CachedApprox& approx, double raw_width);
 
   /// Drops `id` if present (used by tests and by capacity changes). The
-  /// id's slot, if registered, is published not-cached.
+  /// id's slot is published not-cached.
   void Erase(int id);
 
   /// Id of the entry with the largest raw width, or -1 when empty. Ties
-  /// keep the larger id, so the choice is deterministic regardless of map
-  /// iteration order. O(1): the root of the eviction heap.
-  int WidestId() const { return heap_.empty() ? -1 : heap_.front()->first; }
+  /// keep the larger id, so the choice is deterministic. O(1): the root of
+  /// the eviction heap.
+  int WidestId() const {
+    return heap_.empty() ? -1 : entries_[heap_.front()].id;
+  }
 
-  const EntryMap& entries() const { return entries_; }
+  /// Calls `f(id, entry)` for every cached entry, exactly once each, in
+  /// an unspecified order. `f` must not mutate the store.
+  template <typename F>
+  void ForEachEntry(F&& f) const {
+    for (uint32_t slot : heap_) {
+      const SlotEntry& entry = entries_[slot];
+      f(entry.id, static_cast<const ProtocolEntry&>(entry));
+    }
+  }
 
-  // -- the seqlock slot slab -------------------------------------------
-  // Hot read-path state, contiguous and index-addressed. Registration is
-  // construction-time only (it must not race ANY other method); after it
-  // ends the id→index mapping is immutable and the readers below are safe
-  // from any thread with no lock held.
+  // -- the slot map and the seqlock slab --------------------------------
+  // Registration is construction-time only (it must not race ANY other
+  // method); after it ends the id→slot map is immutable (unless a direct
+  // user offers an unregistered id) and the readers below are safe from
+  // any thread with no lock held.
 
-  /// Sentinel index: the id has no registered slot.
+  /// Sentinel index: the id has no slot.
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  /// Allocates `id`'s slot in the slab. Returns false on a duplicate.
-  /// Construction-time only — must not race any other method.
+  /// Ids in [0, kDenseIdLimit) map through a direct vector (grown to the
+  /// largest such id + 1, 4 bytes per id); negative ids and ids at or
+  /// above it use a hash map, so a pathological sparse id can't balloon
+  /// the vector.
+  static constexpr size_t kDenseIdLimit = size_t{1} << 20;
+
+  /// Allocates `id`'s slot. Returns false on a duplicate. Construction-time
+  /// only — must not race any other method.
   bool RegisterSlot(int id);
 
-  /// Slab index of `id`'s slot, or kNoSlot. Ids in [0, kDenseIdLimit) use
-  /// one direct vector load — zero hashing on the optimistic read path;
-  /// negative or huge ids fall back to a hash lookup.
+  /// Slot index of `id`, or kNoSlot. Ids in [0, kDenseIdLimit) use one
+  /// direct vector load — zero hashing; negative or huge ids fall back to a
+  /// hash lookup.
   uint32_t SlotIndexOf(int id) const {
     if (id >= 0 && static_cast<size_t>(id) < dense_index_.size()) {
       return dense_index_[static_cast<size_t>(id)];
@@ -164,11 +183,11 @@ class EntryStore {
     return it == sparse_index_.end() ? kNoSlot : it->second;
   }
 
-  /// The slot at a valid index returned by SlotIndexOf.
+  /// The seqlock slot at a valid index returned by SlotIndexOf.
   const VersionedSlot& SlotAt(uint32_t index) const { return slab_[index]; }
 
   bool HasSlot(int id) const { return SlotIndexOf(id) != kNoSlot; }
-  size_t num_slots() const { return num_slots_; }
+  size_t num_slots() const { return entries_.size(); }
 
   // -- compile-gated cache instrumentation ------------------------------
   // -DAPC_CACHE_INSTRUMENT=ON tallies hits/misses (Find and, via
@@ -214,32 +233,35 @@ class EntryStore {
 #endif
 
  private:
-  /// Ids below this use the dense id→index vector (grown to max id + 1, 4
-  /// bytes per id); ids at or above it — and negative ids — use the sparse
-  /// map. Chosen so a pathological sparse id can't balloon the vector.
-  static constexpr size_t kDenseIdLimit = size_t{1} << 20;
+  /// heap_pos of a slot holding no cached approximation.
+  static constexpr uint32_t kNotCached = UINT32_MAX;
 
-  OfferResult OfferUnmirrored(int id, const CachedApprox& approx,
-                              double raw_width);
-  VersionedSlot* SlotFor(int id) {
-    uint32_t index = SlotIndexOf(id);
-    return index == kNoSlot ? nullptr : &slab_[index];
-  }
+  /// The cold half of one slot: the cached approximation (meaningful only
+  /// while heap_pos != kNotCached), its eviction-heap position, and the id
+  /// the slot belongs to.
+  struct SlotEntry : ProtocolEntry {
+    uint32_t heap_pos = kNotCached;
+    int id = 0;
+  };
+
+  /// Appends a slot for `id` (known to have none) to the slab and the
+  /// entry vector, and maps the id to it.
+  uint32_t AddSlot(int id);
   static void WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
                         bool cached);
 
   // -- the eviction heap ------------------------------------------------
-  using Node = EntryMap::value_type;
   /// Heap order: (raw width, id) lexicographic, so the root is the widest
   /// entry and equal widths rank the larger id higher.
-  static bool HeapBelow(const Node* a, const Node* b) {
-    const double wa = a->second.raw_width;
-    const double wb = b->second.raw_width;
-    return wa < wb || (wa == wb && a->first < b->first);
+  bool HeapBelow(uint32_t a, uint32_t b) const {
+    const SlotEntry& ea = entries_[a];
+    const SlotEntry& eb = entries_[b];
+    return ea.raw_width < eb.raw_width ||
+           (ea.raw_width == eb.raw_width && ea.id < eb.id);
   }
-  void HeapPlace(size_t pos, Node* node) {
-    heap_[pos] = node;
-    node->second.heap_pos = static_cast<uint32_t>(pos);
+  void HeapPlace(size_t pos, uint32_t slot) {
+    heap_[pos] = slot;
+    entries_[slot].heap_pos = static_cast<uint32_t>(pos);
   }
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
@@ -248,17 +270,15 @@ class EntryStore {
   void HeapRemove(size_t pos);
 
   size_t capacity_;
-  EntryMap entries_;
-  // Pointers into entries_' nodes, which stay put across rehashes.
-  std::vector<Node*> heap_;
+  std::vector<SlotEntry> entries_;  // slot -> cold state
+  std::vector<uint32_t> heap_;      // cached slots, widest at the root
 
-  // The slab: one cache line per registered id, contiguous, never moved
-  // after registration ends (growth only happens during registration,
-  // which is single-threaded by contract).
+  // The slab: one cache line per slot, contiguous, never moved after
+  // registration ends (growth only happens while a slot is added, which is
+  // single-threaded by contract).
   std::unique_ptr<VersionedSlot[]> slab_;
-  size_t num_slots_ = 0;
   size_t slab_capacity_ = 0;
-  std::vector<uint32_t> dense_index_;            // id -> slab index
+  std::vector<uint32_t> dense_index_;               // id -> slot
   std::unordered_map<int, uint32_t> sparse_index_;  // negative / huge ids
 
 #if APC_CACHE_INSTRUMENT
@@ -348,16 +368,22 @@ class ProtocolTable {
   ProtocolTable(const ProtocolTable&) = delete;
   ProtocolTable& operator=(const ProtocolTable&) = delete;
 
-  /// Registers `id` before any concurrent access; allocates its versioned
-  /// read slot in the store's contiguous slab. Returns false on a
-  /// duplicate id. Charge-free. The id→slot mapping is immutable
-  /// afterwards, which is what lets TryVisibleInterval run without any
+  /// Registers `id` before any concurrent access; allocates its slot —
+  /// the next dense index, so slots number ids in registration order — in
+  /// the store's slab and entry vector. Returns false on a duplicate id.
+  /// Charge-free. Every id must be registered before it is offered
+  /// (asserted), so the id→slot mapping is immutable afterwards, which is
+  /// what lets TryVisibleInterval, Registered and SlotOf run without any
   /// lock; registration itself is construction-time only and must not
   /// race any other method.
   bool Register(int id) { return store_.RegisterSlot(id); }
   /// Charge-free and safe without the owner's lock once construction ends
   /// (the id→slot mapping is immutable afterwards).
   bool Registered(int id) const { return store_.HasSlot(id); }
+  /// The slot of a registered `id` — its registration index, which owners
+  /// use to address their own per-id state — or EntryStore::kNoSlot.
+  /// Charge-free and safe without the owner's lock once construction ends.
+  uint32_t SlotOf(int id) const { return store_.SlotIndexOf(id); }
   /// Charge-free; safe without the owner's lock after construction.
   size_t num_registered() const { return store_.num_slots(); }
 
@@ -429,7 +455,11 @@ class ProtocolTable {
   size_t size() const { return store_.size(); }
   size_t capacity() const { return store_.capacity(); }
   int WidestId() const { return store_.WidestId(); }
-  const EntryStore::EntryMap& entries() const { return store_.entries(); }
+  /// Calls `f(id, entry)` once per cached entry (see EntryStore).
+  template <typename F>
+  void ForEachEntry(F&& f) const {
+    store_.ForEachEntry(std::forward<F>(f));
+  }
 
   // -- change detection (the subscription hook) -------------------------
   // The write path records which ids' cached visible state changed — an

@@ -39,9 +39,9 @@ bool Shard::AddSource(std::unique_ptr<Source> source) {
   // Construction-time only, but the lock keeps the guarded-member
   // contract unconditional (and is charged exactly once per source).
   WriterMutexLock lock(mu_);
-  bool inserted = by_id_.emplace(source->id(), sources_.size()).second;
-  if (!inserted) return false;  // duplicate id: rejected, caller decides
-  table_.Register(source->id());
+  // Duplicate id: rejected, caller decides. Otherwise the new slot is
+  // sources_.size() — slots are handed out in registration order.
+  if (!table_.Register(source->id())) return false;
   sources_.push_back(std::move(source));
   return true;
 }
@@ -57,8 +57,8 @@ SnapshotRead Shard::TryVisibleIntervalNoLock(int id, int64_t now,
 }
 
 Source* Shard::FindSource(int id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : sources_[it->second].get();
+  uint32_t slot = table_.SlotOf(id);
+  return slot == EntryStore::kNoSlot ? nullptr : sources_[slot].get();
 }
 
 void Shard::SetChangeSink(IntervalChangeSink* sink) { sink_ = sink; }

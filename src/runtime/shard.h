@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -118,15 +117,20 @@ class Shard {
         ReadLockMode read_mode = ReadLockMode::kSeqlock);
 
   /// Registers a source on this shard. Returns false — and drops the
-  /// source — when it is null or its id is already registered. Not
-  /// thread-safe; sources are added during engine construction, before any
-  /// concurrent access.
+  /// source — when it is null or its id is already registered with the
+  /// protocol table. The table numbers slots in registration order, so an
+  /// accepted source's slot is its index here. Not thread-safe; sources
+  /// are added during engine construction, before any concurrent access.
   bool AddSource(std::unique_ptr<Source> source);
 
   int index() const { return index_; }
   size_t num_sources() const;
-  /// Safe without the lock: the id map is immutable once construction ends.
-  bool Owns(int id) const { return by_id_.count(id) != 0; }
+  /// True when `id` is registered here. Lock-free: the table's id→slot
+  /// map is immutable once construction ends (the sanctioned carve-out,
+  /// like the seqlock read below).
+  bool Owns(int id) const APC_NO_THREAD_SAFETY_ANALYSIS {
+    return table_.Registered(id);
+  }
 
   /// Attaches the subscription subsystem's change sink. Once tracking is
   /// also enabled (EnableChangeTracking), every mutating method hands the
@@ -236,7 +240,8 @@ class Shard {
   double SourceValue(int id) const;
 
  private:
-  /// Owned source for `id`, or nullptr (never throws — pump hardening).
+  /// Owned source for `id`, or nullptr (never throws — pump hardening):
+  /// the id's table slot indexes `sources_` directly.
   Source* FindSource(int id) const APC_REQUIRES_SHARED(mu_);
   void TickSourceLocked(Source* src, int64_t now) APC_REQUIRES(mu_);
   void RecordRejectedUpdateLocked(int id, int64_t now) APC_REQUIRES(mu_);
@@ -265,14 +270,12 @@ class Shard {
   /// one at a time (never two shards nested), after the subscription
   /// manager's mutex and before edge/queue/leaf classes.
   mutable SharedMutex mu_{LockRank::kEngineShard, "shard.mu"};
+  /// Indexed by the sources' table slots (registration order).
   std::vector<std::unique_ptr<Source>> sources_ APC_GUARDED_BY(mu_);
-  /// Immutable once construction ends (AddSource documents this); Owns()
-  /// reads it lock-free from any thread, so it is deliberately unguarded.
-  std::unordered_map<int, size_t> by_id_;
   ProtocolTable table_ APC_GUARDED_BY(mu_);
   int64_t rejected_updates_ APC_GUARDED_BY(mu_) = 0;
   /// Set once before concurrent use (SetChangeSink documents this); the
-  /// pointee is thread-safe (it only enqueues), so unguarded like by_id_.
+  /// pointee is thread-safe (it only enqueues), so it is unguarded.
   IntervalChangeSink* sink_ = nullptr;
   std::vector<int> dirty_scratch_ APC_GUARDED_BY(mu_);  // exclusive-lock scratch
 };

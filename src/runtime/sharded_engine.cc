@@ -14,13 +14,15 @@ using runtime_internal::MixId;
 namespace {
 
 // Release builds clamp rather than crash (no-exceptions contract): at
-// least one shard, and no more shards than cache capacity so every
-// shard's χ slice is non-empty (matching EngineConfig::IsValid). A named
-// helper because the bus needs the FINAL shard count in the member-init
-// list — one ring per shard, so ring index == shard index.
+// least one shard, at most kMaxShards, and no more shards than cache
+// capacity so every shard's χ slice is non-empty (matching
+// EngineConfig::IsValid). A named helper because the bus needs the FINAL
+// shard count in the member-init list — one ring per shard, so ring index
+// == shard index.
 int ClampedShardCount(const EngineConfig& config) {
   size_t capacity = config.system.cache_capacity;
   int n = config.num_shards < 1 ? 1 : config.num_shards;
+  if (n > EngineConfig::kMaxShards) n = EngineConfig::kMaxShards;
   if (capacity > 0 && static_cast<size_t>(n) > capacity) {
     n = static_cast<int>(capacity);
   }
@@ -63,9 +65,16 @@ ShardedEngine::ShardedEngine(const EngineConfig& config,
       counters_.rejected_sources.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (shards_[static_cast<size_t>(ShardOf(src->id()))]->AddSource(
-            std::move(src))) {
+    const int id = src->id();
+    const int shard = HashShardOf(id);
+    if (shards_[static_cast<size_t>(shard)]->AddSource(std::move(src))) {
       ++num_sources_;
+      if (id >= 0 && static_cast<size_t>(id) < EntryStore::kDenseIdLimit) {
+        if (route_.size() <= static_cast<size_t>(id)) {
+          route_.resize(static_cast<size_t>(id) + 1, kNoRoute);
+        }
+        route_[static_cast<size_t>(id)] = static_cast<uint16_t>(shard);
+      }
     } else {
       counters_.rejected_sources.fetch_add(1, std::memory_order_relaxed);
     }
@@ -92,7 +101,7 @@ ShardedEngine::~ShardedEngine() {
   subscriptions_.Shutdown();
 }
 
-int ShardedEngine::ShardOf(int id) const {
+int ShardedEngine::HashShardOf(int id) const {
   return static_cast<int>(MixId(static_cast<uint64_t>(id)) %
                           shards_.size());
 }
@@ -121,28 +130,30 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
   // share across engines on the same thread — only the first num_shards()
   // group slots are read, and each is cleared before use.
   static thread_local std::vector<QueryItem> items;
+  static thread_local std::vector<uint16_t> item_shard;  // items[i]'s shard
   static thread_local std::vector<std::vector<ShardSlot>> groups;
   const size_t nshards = shards_.size();
   if (groups.size() < nshards) groups.resize(nshards);
 
-  // Snapshot the visible intervals, one (shared) lock acquisition per shard
-  // touched. Ids no shard owns are malformed input: dropped from the item
-  // set and counted, so the aggregate ranges over the known sources only.
+  // Route every id once, then snapshot the visible intervals, one
+  // (shared) lock acquisition per shard touched. Ids no shard owns are
+  // malformed input: dropped from the item set and counted, so the
+  // aggregate ranges over the known sources only.
   items.clear();
+  item_shard.clear();
+  for (size_t s = 0; s < nshards; ++s) groups[s].clear();
   for (int id : query.source_ids) {
-    if (!shards_[static_cast<size_t>(ShardOf(id))]->Owns(id)) {
+    const int shard = OwnerOf(id);
+    if (shard < 0) {
       counters_.rejected_query_ids.fetch_add(1, std::memory_order_relaxed);
       obs::FlightRecorder::NoteRejectedInput("unowned query id", id, now);
       continue;
     }
+    groups[static_cast<size_t>(shard)].push_back({items.size(), id});
     QueryItem item;
     item.source_id = id;
     items.push_back(item);
-  }
-  for (size_t s = 0; s < nshards; ++s) groups[s].clear();
-  for (size_t pos = 0; pos < items.size(); ++pos) {
-    groups[static_cast<size_t>(ShardOf(items[pos].source_id))].push_back(
-        {pos, items[pos].source_id});
+    item_shard.push_back(static_cast<uint16_t>(shard));
   }
   for (size_t s = 0; s < nshards; ++s) {
     if (!groups[s].empty()) shards_[s]->FillIntervals(groups[s], &items, now);
@@ -173,9 +184,7 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
         for (size_t j = 0; j < i && !duplicate; ++j) {
           duplicate = items[selection[j]].source_id == id;
         }
-        if (!duplicate) {
-          groups[static_cast<size_t>(ShardOf(id))].push_back({idx, id});
-        }
+        if (!duplicate) groups[item_shard[idx]].push_back({idx, id});
       }
       for (size_t s = 0; s < nshards; ++s) {
         if (!groups[s].empty()) {
@@ -207,8 +216,7 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
                     ? NextMaxRefreshCandidate(items, query.constraint)
                     : NextMinRefreshCandidate(items, query.constraint);
       while (idx >= 0) {
-        int id = items[static_cast<size_t>(idx)].source_id;
-        idx = shards_[static_cast<size_t>(ShardOf(id))]->PullCandidateRun(
+        idx = shards_[item_shard[static_cast<size_t>(idx)]]->PullCandidateRun(
             query.kind, query.constraint, idx, &items, now);
       }
       return query.kind == AggregateKind::kMax ? MaxInterval(items)
@@ -307,9 +315,9 @@ double ShardedEngine::ExactValue(int id) const {
 }
 
 Interval ShardedEngine::SubscriptionSnapshot(int id, int64_t now) const {
-  const Shard& shard = *shards_[static_cast<size_t>(ShardOf(id))];
-  if (!shard.Owns(id)) return Interval::Unbounded();
-  return shard.VisibleInterval(id, now);
+  const int shard = OwnerOf(id);
+  if (shard < 0) return Interval::Unbounded();
+  return shards_[static_cast<size_t>(shard)]->VisibleInterval(id, now);
 }
 
 Interval ShardedEngine::SubscriptionPull(int id, int64_t now) {
@@ -322,7 +330,7 @@ Interval ShardedEngine::SubscriptionPull(int id, int64_t now) {
 }
 
 bool ShardedEngine::SubscriptionOwns(int id) const {
-  return shards_[static_cast<size_t>(ShardOf(id))]->Owns(id);
+  return OwnerOf(id) >= 0;
 }
 
 void ShardedEngine::SubscriptionActivate() {

@@ -35,13 +35,17 @@ struct EngineConfig {
   /// the notifier; must be positive).
   size_t subscription_hub_capacity = 1024;
 
+  /// Most shards an engine runs: the dense id→shard route stores shard
+  /// indices as 16-bit integers, with UINT16_MAX marking an unowned id.
+  static constexpr int kMaxShards = UINT16_MAX;
+
   /// Full validation, checked at engine construction so a bad
   /// configuration is rejected up front instead of failing later
   /// (a 0-capacity bus deadlocks producers; more shards than cache
   /// capacity leaves shards with a zero-entry cache slice; a loss
   /// probability outside [0, 1] breaks the Bernoulli draw).
   bool IsValid() const {
-    return num_shards > 0 &&
+    return num_shards > 0 && num_shards <= kMaxShards &&
            static_cast<size_t>(num_shards) <= system.cache_capacity &&
            bus_capacity > 0 && subscription_hub_capacity > 0 &&
            system.costs.IsValid() &&
@@ -120,7 +124,13 @@ class ShardedEngine : private SubscriptionHost {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   size_t num_sources() const { return num_sources_; }
-  int ShardOf(int id) const;
+  /// Shard hosting `id`: MixId(id) % num_shards(), the ring the update
+  /// bus picks for the id. Owned ids read it from the dense route built
+  /// at construction; others hash.
+  int ShardOf(int id) const {
+    int owner = OwnerOf(id);
+    return owner >= 0 ? owner : HashShardOf(id);
+  }
   Shard& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
   const Shard& shard(int i) const { return *shards_[static_cast<size_t>(i)]; }
 
@@ -207,6 +217,23 @@ class ShardedEngine : private SubscriptionHost {
  private:
   void PumpLoop();
 
+  /// Index of the shard owning `id`, or -1 when no shard does. Ids in
+  /// [0, EntryStore::kDenseIdLimit) take one load from the dense route;
+  /// negative and huge ids — the slab's sparse ids — hash and ask the
+  /// shard. Lock-free: the route and the shards' slot maps are immutable
+  /// once construction ends.
+  int OwnerOf(int id) const {
+    if (id >= 0 && static_cast<size_t>(id) < EntryStore::kDenseIdLimit) {
+      if (static_cast<size_t>(id) >= route_.size()) return -1;
+      uint16_t shard = route_[static_cast<size_t>(id)];
+      return shard == kNoRoute ? -1 : shard;
+    }
+    int shard = HashShardOf(id);
+    return shards_[static_cast<size_t>(shard)]->Owns(id) ? shard : -1;
+  }
+  /// The partition function: MixId(id) % num_shards().
+  int HashShardOf(int id) const;
+
   // SubscriptionHost: the engine surface the subscription manager drives.
   Interval SubscriptionSnapshot(int id, int64_t now) const override;
   Interval SubscriptionPull(int id, int64_t now) override;
@@ -220,6 +247,11 @@ class ShardedEngine : private SubscriptionHost {
   obs::MetricsRegistry metrics_;
   EngineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Dense id -> owning shard for owned ids below EntryStore::kDenseIdLimit
+  /// (kNoRoute for unowned ones), sized to the largest such id + 1.
+  /// Immutable once construction ends.
+  static constexpr uint16_t kNoRoute = UINT16_MAX;
+  std::vector<uint16_t> route_;
   size_t num_sources_ = 0;
   RuntimeCounters counters_;
   UpdateBus bus_;

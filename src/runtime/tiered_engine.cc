@@ -152,7 +152,8 @@ TieredEngine::TieredEngine(const TieredConfig& config,
     {
       WriterMutexLock rlock(rs->mu);
       for (int id : ids) {
-        rs->by_id.emplace(id, rs->sources.size());
+        // Slots follow registration order, so the table slot of `id` is
+        // its index in `sources` — and in every edge shard's `cells`.
         rs->table.Register(id);
         rs->sources.push_back(std::make_unique<Source>(
             id, std::move(streams[static_cast<size_t>(id)]),
@@ -171,7 +172,6 @@ TieredEngine::TieredEngine(const TieredConfig& config,
       es->cells.reserve(ids.size());
       for (size_t i = 0; i < ids.size(); ++i) {
         int id = ids[i];
-        es->by_id.emplace(id, es->cells.size());
         es->table.Register(id);
         // The cell's constructor-time shipment is a placeholder;
         // PopulateInitial replaces it with the proper derived hull.
@@ -242,8 +242,7 @@ int TieredEngine::ShardOf(int id) const {
 }
 
 bool TieredEngine::Owns(int id) const {
-  const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
-  return rs.by_id.count(id) != 0;
+  return regional_[static_cast<size_t>(ShardOf(id))]->table.Registered(id);
 }
 
 SnapshotRead TieredEngine::TryEdgeVisibleNoLock(const EdgeShard& es, int id,
@@ -274,7 +273,7 @@ void TieredEngine::PopulateInitial(int64_t now) {
       for (auto& src : rs.sources) {
         int id = src->id();
         Interval parent = src->cell().last_shipped().AtTime(now);
-        ProtocolCell& cell = es.cells[es.by_id.at(id)];
+        ProtocolCell& cell = es.cells[es.table.SlotOf(id)];
         CachedApprox approx = DerivedApprox(cell, parent, now);
         cell.ShipDerived(approx);
         es.table.OfferDerivedInitial(id, approx, cell.raw_width());
@@ -311,7 +310,7 @@ void TieredEngine::FanOutLocked(RegionalShard& rs, int shard, int id,
     if (e == skip_edge) continue;
     EdgeShard& es = *edges_[static_cast<size_t>(e)][static_cast<size_t>(shard)];
     WriterMutexLock lock(es.mu);
-    ProtocolCell& cell = es.cells[es.by_id.at(id)];
+    ProtocolCell& cell = es.cells[es.table.SlotOf(id)];
     // Containment is tested against the sender-side record of what was
     // last shipped to this edge (the cell), not against the edge cache:
     // edges never report evictions, and a charged-but-lost LAN push must
@@ -337,7 +336,7 @@ void TieredEngine::InstallDerived(const RegionalShard& rs, EdgeShard& es,
                                   RefreshType type, int64_t now) {
   (void)rs;  // the capability parameter: rs.mu (shared) pins `parent`
   WriterMutexLock lock(es.mu);
-  ProtocolCell& cell = es.cells[es.by_id.at(id)];
+  ProtocolCell& cell = es.cells[es.table.SlotOf(id)];
   cell.AdvanceWidth(type, /*escaped_above=*/false, now);
   CachedApprox approx = DerivedApprox(cell, parent, now);
   cell.ShipDerived(approx);
@@ -362,13 +361,13 @@ void TieredEngine::TickSource(int id, int64_t now) {
   int s = ShardOf(id);
   RegionalShard& rs = *regional_[static_cast<size_t>(s)];
   WriterMutexLock lock(rs.mu);
-  auto it = rs.by_id.find(id);
-  if (it == rs.by_id.end()) {
+  uint32_t slot = rs.table.SlotOf(id);
+  if (slot == EntryStore::kNoSlot) {
     counters_.rejected_updates.fetch_add(1, std::memory_order_relaxed);
     obs::FlightRecorder::NoteRejectedInput("unowned update id", id, now);
     return;
   }
-  TickSourceLocked(rs, s, rs.sources[it->second].get(), now);
+  TickSourceLocked(rs, s, rs.sources[slot].get(), now);
   PublishRegionalChangesLocked(rs, now);
 }
 
@@ -390,14 +389,14 @@ void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
       }
       continue;
     }
-    auto it = rs.by_id.find(e.source_id);
-    if (it == rs.by_id.end()) {
+    uint32_t slot = rs.table.SlotOf(e.source_id);
+    if (slot == EntryStore::kNoSlot) {
       counters_.rejected_updates.fetch_add(1, std::memory_order_relaxed);
       obs::FlightRecorder::NoteRejectedInput("unowned update id",
                                              e.source_id, e.now);
       continue;
     }
-    TickSourceLocked(rs, shard, rs.sources[it->second].get(), e.now);
+    TickSourceLocked(rs, shard, rs.sources[slot].get(), e.now);
   }
   PublishRegionalChangesLocked(rs, last_now);
 }
@@ -482,7 +481,7 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
     obs::TraceScope source_hop(obs::SpanKind::kEscalateSource, id, now);
     obs::TraceRecorder::Record(obs::TraceEvent::kEscalateSource, id, now,
                                edge);
-    Source* src = rs.sources[rs.by_id.at(id)].get();
+    Source* src = rs.sources[rs.table.SlotOf(id)].get();
     {
       obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
       rs.table.Pull(src->id(), src->cell(), src->value(), now);
@@ -513,7 +512,7 @@ Interval TieredEngine::SubscriptionPull(int id, int64_t now) {
   // One WAN Cqr recenters the regional interval; the fan-out ships the
   // news to every edge that fell out of containment — a subscription
   // escalation is charged exactly like an escalated read's source pull.
-  Source* src = rs.sources[rs.by_id.at(id)].get();
+  Source* src = rs.sources[rs.table.SlotOf(id)].get();
   {
     obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
     rs.table.Pull(src->id(), src->cell(), src->value(), now);
@@ -661,7 +660,7 @@ double TieredEngine::regional_raw_width(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.by_id.at(id)]->raw_width();
+  return rs.sources[rs.table.SlotOf(id)]->raw_width();
 }
 
 double TieredEngine::edge_raw_width(int edge, int id) const {
@@ -671,14 +670,14 @@ double TieredEngine::edge_raw_width(int edge, int id) const {
   const EdgeShard& es =
       *edges_[static_cast<size_t>(edge)][static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(es.mu);
-  return es.cells[es.by_id.at(id)].raw_width();
+  return es.cells[es.table.SlotOf(id)].raw_width();
 }
 
 double TieredEngine::exact_value(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.by_id.at(id)]->value();
+  return rs.sources[rs.table.SlotOf(id)]->value();
 }
 
 bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
@@ -689,7 +688,8 @@ bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
     // least shared with the then-current parent — so the check is valid
     // at any instant, not just at quiescence.
     ReaderMutexLock rlock(rs.mu);
-    for (const auto& [id, idx] : rs.by_id) {
+    for (const auto& src : rs.sources) {
+      const int id = src->id();
       const ProtocolEntry* regional = rs.table.Find(id);
       if (regional == nullptr) continue;  // evicted: nothing to compare
       Interval parent = regional->approx.AtTime(now);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -173,8 +172,10 @@ class TieredEngine : private SubscriptionHost {
   int num_shards() const { return static_cast<int>(regional_.size()); }
   size_t num_sources() const { return num_sources_; }
   int ShardOf(int id) const;
-  /// Safe without any lock: the id maps are immutable after construction.
-  bool Owns(int id) const;
+  /// True when `id` is registered with its regional shard. Safe without
+  /// any lock: the tables' id→slot maps are immutable after construction
+  /// (the sanctioned carve-out, like the seqlock edge read).
+  bool Owns(int id) const APC_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Ships every source's initial regional approximation and every edge's
   /// initial derived hull, free of charge (warm-up absorbs the cost).
@@ -270,7 +271,8 @@ class TieredEngine : private SubscriptionHost {
  private:
   /// One partition of the regional tier: the sources hashed to it (stream
   /// + ProtocolCell with the WAN-bound policy) and their share of the
-  /// regional cache, a shared-core ProtocolTable charging WAN costs.
+  /// regional cache, a shared-core ProtocolTable charging WAN costs. The
+  /// table's slot of an id indexes `sources` (both in registration order).
   struct RegionalShard {
     RegionalShard(const ProtocolTable::Config& table_config, uint64_t seed)
         : table(table_config, seed) {}
@@ -278,7 +280,6 @@ class TieredEngine : private SubscriptionHost {
     /// before any edge shard (regional -> edge, never the reverse).
     mutable SharedMutex mu{LockRank::kEngineShard, "regional.mu"};
     std::vector<std::unique_ptr<Source>> sources APC_GUARDED_BY(mu);
-    std::unordered_map<int, size_t> by_id;  // immutable after construction
     ProtocolTable table APC_GUARDED_BY(mu);
     std::vector<int> dirty_scratch APC_GUARDED_BY(mu);  // exclusive scratch
   };
@@ -287,7 +288,8 @@ class TieredEngine : private SubscriptionHost {
   /// width + last-shipped hull + LAN-bound policy — sender-side state
   /// conceptually owned by the regional cache) and the edge cache slice, a
   /// ProtocolTable charging LAN costs. Locked after the matching regional
-  /// shard, never before.
+  /// shard, never before. The table's slot of an id indexes `cells`, in
+  /// the same order as the regional shard's `sources`.
   struct EdgeShard {
     EdgeShard(const ProtocolTable::Config& table_config, uint64_t seed)
         : table(table_config, seed) {}
@@ -295,7 +297,6 @@ class TieredEngine : private SubscriptionHost {
     /// shard's lock (or alone, for edge-local snapshot reads).
     mutable SharedMutex mu{LockRank::kEdgeShard, "edge.mu"};
     std::vector<ProtocolCell> cells APC_GUARDED_BY(mu);
-    std::unordered_map<int, size_t> by_id;  // immutable after construction
     ProtocolTable table APC_GUARDED_BY(mu);
   };
 

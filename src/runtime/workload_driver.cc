@@ -496,7 +496,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   engine.BeginMeasurement(0);
 
   std::atomic<int64_t> clock{0};
-  std::atomic<bool> stop_control{false};
+  std::atomic<bool> stop_checker{false};
   std::atomic<int64_t> delivered{0};
   std::atomic<int64_t> order_regressions{0};
   std::atomic<int64_t> checker_probes{0};
@@ -561,7 +561,9 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   });
 
   // Control thread: churn (unsubscribe + fresh registration) and live
-  // Reprecision, interleaved, until the quotas are spent or the run ends.
+  // Reprecision, interleaved with the run, until both quotas are spent.
+  // The quotas are finite and always completed — the run waits for them —
+  // so the reported counts never depend on how fast the engine is.
   std::thread control;
   if (config.churn_ops > 0 || config.reprecision_ops > 0) {
     control = std::thread([&] {
@@ -569,7 +571,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
       ConstraintGenerator churn_deltas(config.deltas, config.seed ^ 0x11F2);
       std::vector<int64_t> live = sub_ids;
       int spec_index = config.num_subscribers;
-      while (!stop_control.load(std::memory_order_relaxed)) {
+      for (;;) {
         bool more = false;
         if (churn_done.load(std::memory_order_relaxed) < config.churn_ops) {
           size_t i = static_cast<size_t>(
@@ -607,7 +609,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
     checker = std::thread([&] {
       Rng probe_rng(config.seed ^ 0xCCCC7);
       const SubscriptionManager& subs = engine.subscriptions();
-      while (!stop_control.load(std::memory_order_relaxed)) {
+      while (!stop_checker.load(std::memory_order_relaxed)) {
         const auto& [sid, source_id] = probes[static_cast<size_t>(
             probe_rng.UniformInt(0, static_cast<int64_t>(probes.size()) - 1))];
         Interval answer;
@@ -633,10 +635,10 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   }
 
   updater.join();
+  if (control.joinable()) control.join();  // quotas spent
   if (updates_running) engine.StopUpdatePump();  // drains the backlog
   engine.subscriptions().WaitQuiescent();  // every change fully evaluated
-  stop_control.store(true, std::memory_order_relaxed);
-  if (control.joinable()) control.join();
+  stop_checker.store(true, std::memory_order_relaxed);
   if (checker.joinable()) checker.join();
 
   int64_t final_tick = clock.load(std::memory_order_relaxed);

@@ -129,8 +129,9 @@ TEST(AllocFreeReadTest, SteadyStateReadsAllocateNothing) {
 
 // Over-subscribed: the cache holds a third of the sources and every read
 // demands an exact answer, so each pull of an uncached id meets a full
-// shard and either evicts the widest entry or is rejected. The eviction
-// index and the re-keyed map node make that path allocation-free too.
+// shard and either evicts the widest entry or is rejected. Every id has
+// its slot from registration and an eviction only swaps heap positions,
+// so that path is allocation-free too.
 TEST(AllocFreeReadTest, EvictingReadsAllocateNothing) {
   constexpr int kSources = 48;
   EngineConfig config;

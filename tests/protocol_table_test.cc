@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "cache/cache.h"
+#include "cache/source.h"
 #include "core/adaptive_policy.h"
 #include "core/precision_policy.h"
+#include "data/random_walk.h"
+#include "runtime/shard.h"
 #include "util/rng.h"
 
 namespace apc {
@@ -251,6 +258,153 @@ TEST(EntryStoreTest, EvictionIndexMatchesFullScanOracle) {
       }
     }
   }
+}
+
+/// Every (id, raw width, refresh time) ForEachEntry visits, keyed by id;
+/// fails the test when an id is visited twice.
+std::map<int, std::pair<double, int64_t>> VisitedEntries(
+    const EntryStore& store) {
+  std::map<int, std::pair<double, int64_t>> visited;
+  store.ForEachEntry([&](int id, const ProtocolEntry& entry) {
+    bool fresh = visited
+                     .emplace(id, std::make_pair(entry.raw_width,
+                                                 entry.approx.refresh_time))
+                     .second;
+    EXPECT_TRUE(fresh) << "id " << id << " visited twice";
+  });
+  return visited;
+}
+
+// Direct `Cache` users never register: an id gets its slot on its first
+// cached offer — dense, negative and huge ids alike — and a rejected offer
+// allocates nothing. The same seeded sequences as the oracle test above,
+// without registration, checking after every step that ForEachEntry
+// visits exactly the cached set.
+TEST(EntryStoreTest, UnregisteredIdsMatchOracleAndForEachVisitsCachedSet) {
+  constexpr int kSteps = 2000;
+  constexpr int kHugeId = static_cast<int>(EntryStore::kDenseIdLimit) + 5;
+  std::vector<int> ids;
+  for (int id = -4; id <= 12; ++id) ids.push_back(id);
+  for (int i = 0; i < 4; ++i) ids.push_back(kHugeId + i);
+  for (WidthMix mix :
+       {WidthMix::kAllEqual, WidthMix::kFewLevels, WidthMix::kSpread}) {
+    for (size_t capacity : {0, 1, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << "mix=" << static_cast<int>(mix)
+                                        << " capacity=" << capacity);
+      Cache store(capacity);
+      ReferenceStore reference(capacity);
+      std::vector<bool> ever_cached(ids.size(), false);
+      Rng rng(11);
+      for (int step = 0; step < kSteps; ++step) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
+        const int id = ids[pick];
+        double raw_width = DrawWidth(mix, rng);
+        if (rng.Uniform(0.0, 1.0) < 0.15) {
+          store.Erase(id);
+          reference.Erase(id);
+        } else {
+          CachedApprox approx;
+          approx.base = Interval(0.0, 1.0);
+          approx.refresh_time = step;
+          EntryStore::OfferResult got = store.OfferEx(id, approx, raw_width);
+          EntryStore::OfferResult want =
+              reference.Offer(id, approx, raw_width);
+          ASSERT_EQ(got.cached, want.cached) << "step " << step;
+          ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+          ASSERT_EQ(got.evicted_id, want.evicted_id) << "step " << step;
+          if (got.cached) ever_cached[pick] = true;
+        }
+        ASSERT_EQ(store.WidestId(), reference.WidestId()) << "step " << step;
+        ASSERT_EQ(store.size(), reference.size()) << "step " << step;
+        std::map<int, std::pair<double, int64_t>> visited =
+            VisitedEntries(store);
+        ASSERT_EQ(visited.size(), reference.size()) << "step " << step;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const auto* expected = reference.Find(ids[i]);
+          auto it = visited.find(ids[i]);
+          ASSERT_EQ(it != visited.end(), expected != nullptr)
+              << "step " << step << " id " << ids[i];
+          ASSERT_EQ(store.Find(ids[i]) != nullptr, expected != nullptr);
+          // A slot exists exactly for the ids some offer has cached.
+          ASSERT_EQ(store.HasSlot(ids[i]), ever_cached[i])
+              << "step " << step << " id " << ids[i];
+          if (expected == nullptr) continue;
+          ASSERT_EQ(it->second.first, expected->second);
+          ASSERT_EQ(it->second.second, expected->first.refresh_time);
+          const VersionedSlot& slot = store.SlotAt(store.SlotIndexOf(ids[i]));
+          ASSERT_TRUE(slot.cached.load(std::memory_order_relaxed));
+          ASSERT_EQ(slot.refresh_time.load(std::memory_order_relaxed),
+                    expected->first.refresh_time);
+        }
+      }
+    }
+  }
+}
+
+// Registered ids keep their slots, in registration order, whatever is
+// cached; ForEachEntry skips registered-but-uncached and evicted slots.
+TEST(EntryStoreTest, ForEachEntrySkipsUncachedSlots) {
+  EntryStore store(2);
+  for (int id : {7, -2, 40}) ASSERT_TRUE(store.RegisterSlot(id));
+  EXPECT_EQ(store.SlotIndexOf(7), 0u);
+  EXPECT_EQ(store.SlotIndexOf(-2), 1u);
+  EXPECT_EQ(store.SlotIndexOf(40), 2u);
+  EXPECT_TRUE(VisitedEntries(store).empty());
+
+  CachedApprox approx;
+  approx.base = Interval(0.0, 1.0);
+  store.Offer(7, approx, 4.0);
+  store.Offer(-2, approx, 2.0);
+  EntryStore::OfferResult result = store.OfferEx(40, approx, 1.0);
+  EXPECT_TRUE(result.evicted);
+  EXPECT_EQ(result.evicted_id, 7);
+  auto visited = VisitedEntries(store);
+  ASSERT_EQ(visited.size(), 2u);
+  EXPECT_EQ(visited.count(-2), 1u);
+  EXPECT_EQ(visited.count(40), 1u);
+  store.Erase(-2);
+  visited = VisitedEntries(store);
+  ASSERT_EQ(visited.size(), 1u);
+  EXPECT_EQ(visited.begin()->first, 40);
+  EXPECT_EQ(store.num_slots(), 3u) << "evictions and erases keep slots";
+  EXPECT_EQ(store.SlotIndexOf(7), 0u);
+}
+
+// Shard addresses its sources through the table's slot map, so a rejected
+// duplicate must leave slot index == source index for every later source.
+// Each source carries a distinct constant value, so any slot/source skew
+// would read (and pull) another source's value.
+TEST(ShardSlotTest, DuplicateAddSourceRejectedAndSlotsStayAligned) {
+  auto constant_source = [](int id, double value) {
+    return std::make_unique<Source>(
+        id, std::make_unique<SeriesStream>(std::vector<double>{value}),
+        std::make_unique<FixedWidthPolicy>(1.0));
+  };
+  SystemConfig config;
+  Shard shard(/*index=*/0, config, /*capacity=*/4, /*seed=*/1,
+              /*counters=*/nullptr);
+  EXPECT_TRUE(shard.AddSource(constant_source(10, 100.0)));
+  EXPECT_FALSE(shard.AddSource(constant_source(10, -1.0))) << "duplicate";
+  EXPECT_FALSE(shard.AddSource(nullptr));
+  EXPECT_TRUE(shard.AddSource(constant_source(-4, 200.0)));
+  EXPECT_FALSE(shard.AddSource(constant_source(-4, -1.0))) << "duplicate";
+  EXPECT_TRUE(shard.AddSource(constant_source(1 << 22, 300.0)));
+  EXPECT_TRUE(shard.AddSource(constant_source(3, 400.0)));
+  EXPECT_EQ(shard.num_sources(), 4u);
+
+  shard.PopulateInitial(0);
+  const std::pair<int, double> expected[] = {
+      {10, 100.0}, {-4, 200.0}, {1 << 22, 300.0}, {3, 400.0}};
+  for (const auto& [id, value] : expected) {
+    EXPECT_TRUE(shard.Owns(id)) << "id " << id;
+    EXPECT_EQ(shard.SourceValue(id), value) << "id " << id;
+    EXPECT_EQ(shard.PullExact(id, 1), value) << "id " << id;
+    EXPECT_EQ(shard.PointRead(id, 0.0, 2), Interval::Exact(value))
+        << "id " << id;
+  }
+  EXPECT_FALSE(shard.Owns(11));
+  EXPECT_TRUE(std::isnan(shard.SourceValue(11)));
 }
 
 TEST(ProtocolTableTest, ChargedButLostPushes) {

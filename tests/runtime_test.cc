@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "cache/system.h"
 #include "core/adaptive_policy.h"
+#include "data/random_walk.h"
 #include "query/query_gen.h"
 #include "runtime/workload_driver.h"
 
@@ -26,6 +28,23 @@ std::vector<std::unique_ptr<Source>> MakeSources(
   RandomWalkParams walk;
   return BuildRandomWalkSources(n, walk, policy, kSeed);
 }
+
+/// Random-walk sources with explicit ids, so tests can place ids on the
+/// dense route, beyond it, and on the sparse (negative or huge) path.
+std::vector<std::unique_ptr<Source>> MakeSourcesWithIds(
+    const std::vector<int>& ids) {
+  std::vector<std::unique_ptr<Source>> sources;
+  for (int id : ids) {
+    const uint64_t seed = kSeed ^ static_cast<uint64_t>(id);
+    sources.push_back(std::make_unique<Source>(
+        id, std::make_unique<RandomWalkStream>(RandomWalkParams{}, seed),
+        std::make_unique<AdaptivePolicy>(AdaptivePolicyParams{}, ~seed)));
+  }
+  return sources;
+}
+
+/// Ids beyond the slot map's dense range take the hash path.
+constexpr int kHugeId = static_cast<int>(EntryStore::kDenseIdLimit) + 3;
 
 QueryWorkloadParams MakeWorkload(int num_sources) {
   QueryWorkloadParams params;
@@ -62,6 +81,85 @@ TEST(ShardedEngineTest, PartitionCoversEverySourceExactlyOnce) {
       EXPECT_EQ(engine.shard(s).Owns(id), s == owner);
     }
   }
+}
+
+// The dense id→shard route must pick exactly the ring the update bus
+// picks, or the pump would apply a burst to a shard that does not own its
+// ids. Covers dense ids, negative ids and ids past the dense range.
+TEST(ShardedEngineTest, ShardOfMatchesBusRingForEveryOwnedId) {
+  std::vector<int> ids;
+  for (int id = 0; id < 200; id += 3) ids.push_back(id);
+  for (int id : {-2, -77, kHugeId, kHugeId + 1000, 1 << 30}) ids.push_back(id);
+  EngineConfig config;
+  config.num_shards = 5;
+  config.system.cache_capacity = 40;
+  ShardedEngine engine(config, MakeSourcesWithIds(ids));
+  ASSERT_EQ(engine.num_sources(), ids.size());
+  ASSERT_EQ(engine.bus().num_rings(), 5u);
+  for (int id : ids) {
+    const int owner = engine.ShardOf(id);
+    EXPECT_EQ(static_cast<size_t>(owner), engine.bus().RingOf(id))
+        << "id " << id;
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      EXPECT_EQ(engine.shard(s).Owns(id), s == owner) << "id " << id;
+    }
+  }
+  // Unowned ids, inside and beyond the route, still hash like the bus.
+  for (int id : {1, 2, 199, 200, 5000, -3, kHugeId + 1}) {
+    EXPECT_EQ(static_cast<size_t>(engine.ShardOf(id)), engine.bus().RingOf(id))
+        << "id " << id;
+  }
+}
+
+// Unowned ids are dropped and counted on every entry point, wherever the
+// route sends them: a hole inside the dense route, past its end, a
+// negative id, a huge id. Owned negative and huge ids are served.
+TEST(ShardedEngineTest, UnownedIdsOnEveryRouteAreRejectedAndCounted) {
+  EngineConfig config;
+  config.num_shards = 3;
+  config.system.cache_capacity = 12;
+  ShardedEngine engine(config,
+                       MakeSourcesWithIds({0, 2, 4, 6, 8, -5, kHugeId}));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+  const std::vector<int> unowned = {3, 9, 100000, -6, kHugeId + 1};
+
+  for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg,
+                             AggregateKind::kMax, AggregateKind::kMin}) {
+    Query query;
+    query.kind = kind;
+    query.source_ids = {2, -5, kHugeId};
+    query.source_ids.insert(query.source_ids.end(), unowned.begin(),
+                            unowned.end());
+    query.constraint = 0.0;
+    EXPECT_TRUE(engine.ExecuteQuery(query, 0).IsExact());
+  }
+  EXPECT_EQ(engine.counters().rejected_query_ids.load(),
+            static_cast<int64_t>(4 * unowned.size()));
+
+  const int64_t pulls = engine.TotalCosts().query_refreshes;
+  for (int id : unowned) {
+    EXPECT_TRUE(engine.PointRead(id, 0.0, 0).IsUnbounded()) << "id " << id;
+    EXPECT_TRUE(std::isnan(engine.ExactValue(id))) << "id " << id;
+  }
+  EXPECT_EQ(engine.TotalCosts().query_refreshes, pulls) << "no charge";
+  EXPECT_EQ(engine.counters().rejected_query_ids.load(),
+            static_cast<int64_t>(5 * unowned.size()));
+  for (int id : {-5, kHugeId}) {
+    EXPECT_TRUE(engine.PointRead(id, 0.0, 0).IsExact()) << "id " << id;
+  }
+  EXPECT_EQ(engine.Subscribe(
+                Query{AggregateKind::kSum, {2, unowned[0]}, 1.0}, 1.0, 0),
+            -1)
+      << "a subscription over an unowned id is refused";
+
+  ASSERT_TRUE(engine.StartUpdatePump());
+  for (int id : unowned) ASSERT_TRUE(engine.bus().Push({1, id}));
+  for (int id : {-5, kHugeId, 4}) ASSERT_TRUE(engine.bus().Push({1, id}));
+  engine.StopUpdatePump();
+  EXPECT_EQ(engine.counters().rejected_updates.load(),
+            static_cast<int64_t>(unowned.size()));
+  EXPECT_EQ(engine.counters().updates_applied.load(), 3);
 }
 
 // The acceptance bar for the runtime: a single-shard engine driven in
@@ -384,9 +482,9 @@ TEST(ShardedEngineTest, ConcurrentQueriesRespectPrecisionConstraints) {
   EXPECT_GT(costs.value_refreshes, 0);
 }
 
-// Satellite fix: an UpdateEvent carrying an id no shard owns used to throw
-// out of `by_id_.at` on the pump thread and terminate the process. It must
-// be skipped and counted instead.
+// An UpdateEvent carrying an id no shard owns once threw out of a map
+// lookup on the pump thread and terminated the process. It must be
+// skipped and counted instead.
 TEST(ShardedEngineTest, UnknownSourceIdUpdatesAreSkippedAndCounted) {
   constexpr int kSources = 12;
   EngineConfig config;

@@ -264,6 +264,12 @@ TEST(SubscriptionTest, SharedRefreshOnePullServesEverySubscriber) {
     subs.push_back(engine.Subscribe(PointQuery(0), /*delta=*/0.01, 0));
     ASSERT_GT(subs.back(), 0);
   }
+  // The registration pull publishes a change of its own. Let the notifier
+  // evaluate it before the first tick: otherwise that batch, stamped with
+  // tick 0, can run while TickAll(1) lands, see tick 1's interval, find
+  // the tick-0 escalation cap spent and ship the unpulled interval to some
+  // subscribers but not others.
+  engine.subscriptions().WaitQuiescent();
   // Registration: the first subscriber escalates once; the per-value
   // per-tick cap makes the other three ride the refreshed interval.
   EXPECT_EQ(engine.TotalCosts().query_refreshes, 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -464,6 +465,53 @@ TEST(TieredEngineTest, NullStreamsRejectedAtConstruction) {
   EXPECT_FALSE(engine.Owns(2));
   engine.PopulateInitial(0);
   EXPECT_TRUE(engine.Read(0, 0, 1e9, 0).Width() < kInfinity);
+}
+
+// Ownership reads each regional table's slot map, lock-free. Unowned ids
+// — a rejected stream's id, one past the end, negative, huge — are
+// refused on every path, charge-free and counted; owned ids are served.
+TEST(TieredEngineTest, UnownedIdsRejectedOnEveryPath) {
+  auto streams = WalkStreams(6, kSeed ^ 0xaa);
+  streams[2] = nullptr;
+  HierarchyConfig seq_config = SequentialConfig(6, 2);
+  TieredEngine engine(TieredFrom(seq_config, 3, kSeed), std::move(streams));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+  const std::vector<int> unowned = {2, 6, -3, 1 << 21};
+  for (int id : {0, 1, 3, 4, 5}) {
+    EXPECT_TRUE(engine.Owns(id)) << "id " << id;
+    EXPECT_TRUE(engine.Read(1, id, 0.0, 0).IsExact()) << "id " << id;
+  }
+  const TieredCounters& counters = engine.counters();
+  const double cost =
+      engine.WanCosts().total_cost + engine.LanCosts().total_cost;
+  for (int id : unowned) {
+    EXPECT_FALSE(engine.Owns(id)) << "id " << id;
+    EXPECT_TRUE(engine.Read(0, id, 1e9, 0).IsUnbounded()) << "id " << id;
+    EXPECT_TRUE(engine.regional_interval(id).IsUnbounded()) << "id " << id;
+    EXPECT_TRUE(engine.edge_interval(0, id).IsUnbounded()) << "id " << id;
+    EXPECT_TRUE(std::isnan(engine.exact_value(id))) << "id " << id;
+    EXPECT_TRUE(std::isnan(engine.regional_raw_width(id))) << "id " << id;
+    EXPECT_TRUE(std::isnan(engine.edge_raw_width(1, id))) << "id " << id;
+    engine.TickSource(id, 1);
+  }
+  EXPECT_EQ(counters.rejected_reads.load(),
+            static_cast<int64_t>(unowned.size()));
+  EXPECT_EQ(counters.rejected_updates.load(),
+            static_cast<int64_t>(unowned.size()));
+  EXPECT_DOUBLE_EQ(engine.WanCosts().total_cost + engine.LanCosts().total_cost,
+                   cost)
+      << "rejected reads and updates are charge-free";
+  EXPECT_EQ(engine.Subscribe(Query{AggregateKind::kSum, {0, 6}, 1.0}, 1.0, 0),
+            -1);
+
+  ASSERT_TRUE(engine.StartUpdatePump());
+  for (int id : unowned) ASSERT_TRUE(engine.bus().Push({2, id}));
+  ASSERT_TRUE(engine.bus().Push({2, 4}));
+  engine.StopUpdatePump();
+  EXPECT_EQ(counters.rejected_updates.load(),
+            static_cast<int64_t>(2 * unowned.size()));
+  EXPECT_EQ(counters.updates_applied.load(), 1);
 }
 
 }  // namespace
