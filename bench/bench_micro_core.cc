@@ -46,6 +46,11 @@ void BM_IntervalSum(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalSum)->Arg(10)->Arg(100);
 
+// Widest-first SUM selection over n items of width U(0, 10), through the
+// allocation-free form ExecuteQuery uses. satisfied:0 sets the constraint
+// to a quarter of the expected total, so the greedy walk runs;
+// satisfied:1 sets it to the largest possible total, so the snapshot
+// already satisfies it and nothing is sorted.
 void BM_SumRefreshSelection(benchmark::State& state) {
   Rng rng(7);
   std::vector<QueryItem> items;
@@ -53,13 +58,17 @@ void BM_SumRefreshSelection(benchmark::State& state) {
     items.push_back(
         {i, Interval::Centered(rng.Uniform(-100, 100), rng.Uniform(0, 10))});
   }
-  double constraint = 0.25 * 5.0 * state.range(0);
+  const double n = static_cast<double>(state.range(0));
+  const double constraint = state.range(1) != 0 ? 10.0 * n : 0.25 * 5.0 * n;
+  std::vector<size_t> sel;
   for (auto _ : state) {
-    auto sel = SumRefreshSelection(items, constraint);
-    benchmark::DoNotOptimize(sel);
+    SumRefreshSelectionInto(items, constraint, &sel);
+    benchmark::DoNotOptimize(sel.data());
   }
 }
-BENCHMARK(BM_SumRefreshSelection)->Arg(10)->Arg(100);
+BENCHMARK(BM_SumRefreshSelection)
+    ->ArgNames({"items", "satisfied"})
+    ->ArgsProduct({{10, 16, 100}, {0, 1}});
 
 void BM_MaxCandidateSelection(benchmark::State& state) {
   Rng rng(7);

@@ -46,6 +46,12 @@
 #                               # run.py exits nonzero (a build failure, a
 #                               # wrong answer, or offered != applied
 #                               # updates)
+#   scripts/check.sh --stress N # Release build running the concurrency
+#                               # suites N times each (ctest --repeat
+#                               # until-fail:N, in parallel) beside three
+#                               # busy-loop neighbour processes, so a test
+#                               # that leans on wall-clock progress fails
+#                               # here; tooling only, no CI job
 #   scripts/check.sh --analyze  # clang thread-safety analysis: build the
 #                               # whole tree with clang and
 #                               # -Werror=thread-safety(-beta) over the APC_*
@@ -189,6 +195,32 @@ if [[ "${1:-}" == "--perfbench" ]]; then
   python3 perfbench/run.py --workload refresh_churn --seed 1 --seconds 2 \
           --trace 1
   pass "perfbench smoke: every workload answered correctly, all offered updates applied"
+fi
+
+if [[ "${1:-}" == "--stress" ]]; then
+  REPEAT="${2:-}"
+  if ! [[ "$REPEAT" =~ ^[1-9][0-9]*$ ]]; then
+    echo "usage: scripts/check.sh --stress N   (N >= 1 repetitions)" >&2
+    exit 2
+  fi
+  cmake -B build-stress -S . -DCMAKE_BUILD_TYPE=Release \
+        -DAPCACHE_BUILD_BENCHES=OFF -DAPCACHE_BUILD_EXAMPLES=OFF
+  cmake --build build-stress -j
+  # Three spinning neighbours keep the cores oversubscribed, the load
+  # under which a test that waits on wall-clock luck rather than on
+  # completion loses its race. They die with this script, pass or fail.
+  neighbours=()
+  for _ in 1 2 3; do
+    ( while :; do :; done ) &
+    neighbours+=("$!")
+  done
+  trap 'st=$?; kill "${neighbours[@]}" 2>/dev/null || true
+        if [[ $st -ne 0 ]]; then echo "check.sh[$MODE]: FAIL" >&2; fi' EXIT
+  ctest --test-dir build-stress --output-on-failure --no-tests=error \
+        --timeout "$CTEST_TIMEOUT" -j "$(nproc)" \
+        --repeat until-fail:"$REPEAT" -R "$CONCURRENCY_SUITES"
+  kill "${neighbours[@]}" 2>/dev/null || true
+  pass "concurrency suites passed $REPEAT times each beside three busy loops"
 fi
 
 if [[ "${1:-}" == "--analyze" ]]; then

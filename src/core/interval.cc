@@ -1,14 +1,9 @@
 #include "core/interval.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 namespace apc {
-
-Interval::Interval(double lo, double hi) : lo_(lo), hi_(hi) {
-  if (lo_ > hi_) std::swap(lo_, hi_);
-}
 
 Interval Interval::Centered(double center, double width) {
   if (width == kInfinity) return Unbounded();
@@ -23,28 +18,11 @@ Interval Interval::Uncentered(double value, double lower_width,
   return Interval(lo, hi);
 }
 
-double Interval::Width() const {
-  if (lo_ == -kInfinity || hi_ == kInfinity) return kInfinity;
-  return hi_ - lo_;
-}
-
 double Interval::Precision() const {
   double w = Width();
   if (w == 0.0) return kInfinity;
   if (w == kInfinity) return 0.0;
   return 1.0 / w;
-}
-
-Interval Interval::operator+(const Interval& other) const {
-  return Interval(lo_ + other.lo_, hi_ + other.hi_);
-}
-
-Interval Interval::Max(const Interval& a, const Interval& b) {
-  return Interval(std::max(a.lo_, b.lo_), std::max(a.hi_, b.hi_));
-}
-
-Interval Interval::Min(const Interval& a, const Interval& b) {
-  return Interval(std::min(a.lo_, b.lo_), std::min(a.hi_, b.hi_));
 }
 
 Interval Interval::Shifted(double delta) const {

@@ -1,7 +1,9 @@
 #ifndef APC_CORE_INTERVAL_H_
 #define APC_CORE_INTERVAL_H_
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/mathutil.h"
 
@@ -20,7 +22,9 @@ class Interval {
   /// Constructs [lo, hi]. Requires lo <= hi (checked with assert semantics
   /// via Normalize in debug; swapped silently otherwise to preserve the
   /// no-exceptions contract).
-  Interval(double lo, double hi);
+  Interval(double lo, double hi) : lo_(lo), hi_(hi) {
+    if (lo_ > hi_) std::swap(lo_, hi_);
+  }
 
   /// Interval of width `width` centered on `center`. An infinite width
   /// produces the unbounded interval (-inf, +inf).
@@ -42,7 +46,10 @@ class Interval {
   double hi() const { return hi_; }
 
   /// Width hi - lo; infinite for the unbounded interval.
-  double Width() const;
+  double Width() const {
+    if (lo_ == -kInfinity || hi_ == kInfinity) return kInfinity;
+    return hi_ - lo_;
+  }
 
   /// Midpoint; only meaningful for bounded intervals.
   double Center() const { return 0.5 * (lo_ + hi_); }
@@ -70,14 +77,20 @@ class Interval {
   /// Minkowski sum: [a.lo + b.lo, a.hi + b.hi]. The width of the sum is the
   /// sum of the widths, which is what makes bounded-SUM refresh selection
   /// a covering problem (see query/aggregate.h).
-  Interval operator+(const Interval& other) const;
+  Interval operator+(const Interval& other) const {
+    return Interval(lo_ + other.lo_, hi_ + other.hi_);
+  }
 
   /// Interval max: [max(a.lo, b.lo), max(a.hi, b.hi)] — the tightest
   /// interval guaranteed to contain max(Va, Vb).
-  static Interval Max(const Interval& a, const Interval& b);
+  static Interval Max(const Interval& a, const Interval& b) {
+    return Interval(std::max(a.lo_, b.lo_), std::max(a.hi_, b.hi_));
+  }
 
   /// Interval min: [min(a.lo, b.lo), min(a.hi, b.hi)].
-  static Interval Min(const Interval& a, const Interval& b);
+  static Interval Min(const Interval& a, const Interval& b) {
+    return Interval(std::min(a.lo_, b.lo_), std::min(a.hi_, b.hi_));
+  }
 
   /// Translates both endpoints by delta.
   Interval Shifted(double delta) const;

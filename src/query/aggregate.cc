@@ -42,6 +42,25 @@ void SumRefreshSelectionInto(const std::vector<QueryItem>& items,
   // Result width is the sum of item widths, so refreshing an item removes
   // exactly its width. Selecting widest-first minimizes the number of
   // (equal-cost) refreshes needed to bring the total under the constraint.
+  // Each width is computed once; the sort and the greedy walk read the
+  // thread-local copy.
+  static thread_local std::vector<double> widths;
+  widths.resize(items.size());
+  double finite_total = 0.0;
+  size_t unbounded = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    double w = items[i].interval.Width();
+    widths[i] = w;
+    if (w == kInfinity) {
+      ++unbounded;
+    } else {
+      finite_total += w;
+    }
+  }
+  // The snapshot already satisfies the constraint: nothing to pull, and
+  // no order to establish.
+  if (unbounded == 0 && finite_total <= constraint) return;
+
   static thread_local std::vector<size_t> order;
   order.resize(items.size());
   std::iota(order.begin(), order.end(), size_t{0});
@@ -49,26 +68,13 @@ void SumRefreshSelectionInto(const std::vector<QueryItem>& items,
   // order (width descending, ties in item order) without stable_sort's
   // internal temporary buffer — the read hot path must not allocate.
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    double wa = items[a].interval.Width();
-    double wb = items[b].interval.Width();
-    if (wa != wb) return wa > wb;
+    if (widths[a] != widths[b]) return widths[a] > widths[b];
     return a < b;
   });
 
-  double finite_total = 0.0;
-  size_t unbounded = 0;
-  for (const auto& item : items) {
-    double w = item.interval.Width();
-    if (w == kInfinity) {
-      ++unbounded;
-    } else {
-      finite_total += w;
-    }
-  }
-
   for (size_t idx : order) {
     if (unbounded == 0 && finite_total <= constraint) break;
-    double w = items[idx].interval.Width();
+    double w = widths[idx];
     if (w == 0.0) break;  // only exact items remain; nothing left to shrink
     out->push_back(idx);
     if (w == kInfinity) {

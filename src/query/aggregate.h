@@ -60,11 +60,12 @@ std::vector<size_t> SumRefreshSelection(const std::vector<QueryItem>& items,
                                         double constraint);
 
 /// Allocation-free form of SumRefreshSelection: clears and fills `*out`
-/// instead of returning a fresh vector, and sorts through a thread-local
-/// index scratch — with a caller-reused `*out`, the steady state performs
-/// zero heap allocations (the read hot path's contract; enforced by
-/// tests/alloc_free_read_test.cc). Selection order is identical to
-/// SumRefreshSelection's.
+/// instead of returning a fresh vector, and keeps each item's width and
+/// the sort order in thread-local scratch — with a caller-reused `*out`,
+/// the steady state performs zero heap allocations (the read hot path's
+/// contract; enforced by tests/alloc_free_read_test.cc). When the snapshot
+/// already satisfies `constraint` it returns before sorting. Selection
+/// order is identical to SumRefreshSelection's.
 void SumRefreshSelectionInto(const std::vector<QueryItem>& items,
                              double constraint, std::vector<size_t>* out);
 

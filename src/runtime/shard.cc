@@ -51,11 +51,6 @@ size_t Shard::num_sources() const {
   return sources_.size();
 }
 
-SnapshotRead Shard::TryVisibleIntervalNoLock(int id, int64_t now,
-                                             Interval* out) const {
-  return table_.TryVisibleInterval(id, now, out);
-}
-
 Source* Shard::FindSource(int id) const {
   uint32_t slot = table_.SlotOf(id);
   return slot == EntryStore::kNoSlot ? nullptr : sources_[slot].get();
@@ -216,35 +211,11 @@ Interval Shard::VisibleInterval(int id, int64_t now) const {
   return table_.VisibleInterval(id, now);
 }
 
-void Shard::FillIntervals(const std::vector<ShardSlot>& slots,
-                          std::vector<QueryItem>* items, int64_t now) const {
+void Shard::SettleIntervals(const std::vector<ShardSlot>& slots,
+                            std::vector<QueryItem>* items,
+                            int64_t now) const {
   if (read_mode_ == ReadLockMode::kSeqlock) {
-    // Optimistic pass: no lock at all for entries whose seqlock validates.
-    // Torn entries (a refresh raced the copy) are collected and settled
-    // under one shared acquisition — rare, so the hot path allocates
-    // nothing and touches no lock word. The scratch is thread-local so the
-    // steady-state read performs zero heap allocations (asserted by
-    // tests/alloc_free_read_test.cc).
-    static thread_local std::vector<size_t> torn;
-    torn.clear();
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const auto& [pos, id] = slots[i];
-      Interval out;
-      if (TryVisibleIntervalNoLock(id, now, &out) == SnapshotRead::kTorn) {
-        RecordSeqlockRetry(id, now);
-        torn.push_back(i);
-      } else {
-        (*items)[pos].interval = out;
-      }
-    }
-    if (torn.empty()) return;
-    RecordSharedFallback(/*id=*/-1, now, static_cast<int64_t>(torn.size()));
-    ReadLock lock(mu_, read_mode_);
-    for (size_t i : torn) {
-      const auto& [pos, id] = slots[i];
-      (*items)[pos].interval = table_.VisibleInterval(id, now);
-    }
-    return;
+    RecordSharedFallback(/*id=*/-1, now, static_cast<int64_t>(slots.size()));
   }
   ReadLock lock(mu_, read_mode_);
   for (const auto& [pos, id] : slots) {

@@ -94,11 +94,15 @@ using ShardSlot = std::pair<size_t, int>;
 /// shard pays one lock acquisition rather than one per value.
 ///
 /// Writes (ticks, pulls) always hold the shard's shared_mutex exclusively.
-/// Pure snapshot reads (FillIntervals, VisibleInterval, the satisfied
-/// branch of PointRead) follow the configured ReadLockMode: optimistic
-/// per-entry seqlock validation by default — the read hot path acquires no
-/// lock at all — with shared- and exclusive-acquisition modes kept as
-/// measurable bench baselines.
+/// Pure snapshot reads (TrySnapshot/SettleIntervals, VisibleInterval, the
+/// satisfied branch of PointRead) follow the configured ReadLockMode:
+/// optimistic per-entry seqlock validation by default — the read hot path
+/// acquires no lock at all — with shared- and exclusive-acquisition modes
+/// kept as measurable bench baselines. An aggregate query snapshots in one
+/// pass over its ids: the engine routes each id and tries TrySnapshot at
+/// once; only ids whose read tore (or, in the locking modes, every id) are
+/// grouped per shard and settled by SettleIntervals under one read
+/// acquisition per shard.
 ///
 /// The refresh semantics are the shared protocol core's
 /// (core/protocol_table.h), the same table the sequential CacheSystem
@@ -180,12 +184,30 @@ class Shard {
   /// the unbounded interval when the value is not cached.
   Interval VisibleInterval(int id, int64_t now) const;
 
-  /// Fills `items->at(slot.first).interval` with the visible interval of
-  /// `slot.second` for every slot. In seqlock mode this takes no lock for
-  /// entries whose optimistic read validates, and one shared acquisition
-  /// for any that tore; in the other modes it is one acquisition total.
-  void FillIntervals(const std::vector<ShardSlot>& slots,
-                     std::vector<QueryItem>* items, int64_t now) const;
+  /// The lock-free half of an aggregate's snapshot. In seqlock mode it
+  /// reads `id`'s visible interval into `*out` (the unbounded interval
+  /// when uncached or unowned) with no lock and returns true when the
+  /// optimistic read validated. It returns false, leaving `*out` alone,
+  /// when the read tore against a racing refresh (counted in
+  /// read.seqlock_retries) and always in the locking modes, which never
+  /// read optimistically: the caller then settles the id with
+  /// SettleIntervals.
+  bool TrySnapshot(int id, int64_t now, Interval* out) const {
+    if (read_mode_ != ReadLockMode::kSeqlock) return false;
+    if (TryVisibleIntervalNoLock(id, now, out) != SnapshotRead::kTorn) {
+      return true;
+    }
+    RecordSeqlockRetry(id, now);
+    return false;
+  }
+
+  /// The locked half: fills `items->at(slot.first).interval` with the
+  /// visible interval of `slot.second` for every slot under ONE read
+  /// acquisition (exclusive in kExclusive). In seqlock mode the slots are
+  /// the ids whose TrySnapshot tore, and the acquisition counts as one
+  /// read.shared_fallbacks.
+  void SettleIntervals(const std::vector<ShardSlot>& slots,
+                       std::vector<QueryItem>* items, int64_t now) const;
 
   /// Pulls the exact value of `id` (query-initiated refresh): charges Cqr,
   /// adjusts the source's width, re-offers the fresh approximation, and
@@ -260,7 +282,9 @@ class Shard {
   /// it touches `table_`'s versioned slots with no shard lock by design
   /// (validation detects torn reads), which GUARDED_BY cannot type.
   SnapshotRead TryVisibleIntervalNoLock(int id, int64_t now, Interval* out)
-      const APC_NO_THREAD_SAFETY_ANALYSIS;
+      const APC_NO_THREAD_SAFETY_ANALYSIS {
+    return table_.TryVisibleInterval(id, now, out);
+  }
 
   const int index_;
   RuntimeCounters* const counters_;

@@ -29,6 +29,32 @@ int ClampedShardCount(const EngineConfig& config) {
   return n;
 }
 
+// Per-shard slot lists plus the shards whose list is non-empty, in first-
+// touch order, so a query touching k of n shards clears and visits k
+// lists, not n. One instance per thread (ExecuteQuery's scratch) keeps its
+// capacity across queries, so the steady state allocates nothing.
+class ShardGroups {
+ public:
+  void Reset(size_t num_shards) {
+    for (uint16_t s : touched_) groups_[s].clear();
+    touched_.clear();
+    if (groups_.size() < num_shards) groups_.resize(num_shards);
+  }
+  void Add(uint16_t shard, size_t pos, int id) {
+    std::vector<ShardSlot>& group = groups_[shard];
+    if (group.empty()) touched_.push_back(shard);
+    group.push_back({pos, id});
+  }
+  const std::vector<uint16_t>& touched() const { return touched_; }
+  const std::vector<ShardSlot>& group(uint16_t shard) const {
+    return groups_[shard];
+  }
+
+ private:
+  std::vector<std::vector<ShardSlot>> groups_;
+  std::vector<uint16_t> touched_;
+};
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(const EngineConfig& config,
@@ -127,21 +153,22 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
 
   // Per-thread scratch reused across queries: the serving hot path does no
   // steady-state heap allocation (buffers keep their capacity). Safe to
-  // share across engines on the same thread — only the first num_shards()
-  // group slots are read, and each is cleared before use.
+  // share across engines on the same thread — Reset sizes the groups to
+  // this engine's shard count and clears only what the last query used.
   static thread_local std::vector<QueryItem> items;
   static thread_local std::vector<uint16_t> item_shard;  // items[i]'s shard
-  static thread_local std::vector<std::vector<ShardSlot>> groups;
-  const size_t nshards = shards_.size();
-  if (groups.size() < nshards) groups.resize(nshards);
+  static thread_local ShardGroups groups;
 
-  // Route every id once, then snapshot the visible intervals, one
-  // (shared) lock acquisition per shard touched. Ids no shard owns are
+  // One pass routes every id and snapshots it: a lock-free seqlock read
+  // settles most ids on the spot, and only ids whose read tore — or every
+  // id in the locking modes — are grouped per shard and settled below
+  // under one read acquisition per shard touched. Ids no shard owns are
   // malformed input: dropped from the item set and counted, so the
-  // aggregate ranges over the known sources only.
+  // aggregate ranges over the known sources only (positions are taken
+  // after the drop, so they index the kept items).
   items.clear();
   item_shard.clear();
-  for (size_t s = 0; s < nshards; ++s) groups[s].clear();
+  groups.Reset(shards_.size());
   for (int id : query.source_ids) {
     const int shard = OwnerOf(id);
     if (shard < 0) {
@@ -149,14 +176,17 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
       obs::FlightRecorder::NoteRejectedInput("unowned query id", id, now);
       continue;
     }
-    groups[static_cast<size_t>(shard)].push_back({items.size(), id});
     QueryItem item;
     item.source_id = id;
+    if (!shards_[static_cast<size_t>(shard)]->TrySnapshot(id, now,
+                                                          &item.interval)) {
+      groups.Add(static_cast<uint16_t>(shard), items.size(), id);
+    }
     items.push_back(item);
     item_shard.push_back(static_cast<uint16_t>(shard));
   }
-  for (size_t s = 0; s < nshards; ++s) {
-    if (!groups[s].empty()) shards_[s]->FillIntervals(groups[s], &items, now);
+  for (uint16_t s : groups.touched()) {
+    shards_[s]->SettleIntervals(groups.group(s), &items, now);
   }
 
   switch (query.kind) {
@@ -176,7 +206,7 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
       } else {
         AvgRefreshSelectionInto(items, query.constraint, &selection);
       }
-      for (size_t s = 0; s < nshards; ++s) groups[s].clear();
+      groups.Reset(shards_.size());
       for (size_t i = 0; i < selection.size(); ++i) {
         size_t idx = selection[i];
         int id = items[idx].source_id;
@@ -184,16 +214,14 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
         for (size_t j = 0; j < i && !duplicate; ++j) {
           duplicate = items[selection[j]].source_id == id;
         }
-        if (!duplicate) groups[item_shard[idx]].push_back({idx, id});
+        if (!duplicate) groups.Add(item_shard[idx], idx, id);
       }
-      for (size_t s = 0; s < nshards; ++s) {
-        if (!groups[s].empty()) {
-          shards_[s]->PullExactMany(groups[s], &items, now);
-        }
+      for (uint16_t s : groups.touched()) {
+        shards_[s]->PullExactMany(groups.group(s), &items, now);
       }
       // Propagate each pulled exact value to every occurrence of its id.
-      for (size_t s = 0; s < nshards; ++s) {
-        for (const auto& [pos, id] : groups[s]) {
+      for (uint16_t s : groups.touched()) {
+        for (const auto& [pos, id] : groups.group(s)) {
           for (auto& item : items) {
             if (item.source_id == id) item.interval = items[pos].interval;
           }

@@ -175,13 +175,21 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
     // backpressure allows; a slow pump throttles it instead of the queue
     // growing without bound (tick discipline: see PushTickBurst).
     updater = std::thread([&] {
-      while (!stop_updates.load(std::memory_order_relaxed)) {
+      // The first burst of an updating phase lands before a stop is
+      // honored, so a run whose queries finish before the updater is first
+      // scheduled still applies at least one tick.
+      bool pushed = false;
+      for (;;) {
         // Slowest worker's phase decides the regime.
         int slowest = static_cast<int>(schedule.size()) - 1;
         for (const auto& phase : thread_phase) {
           slowest = std::min(slowest, phase.load(std::memory_order_relaxed));
         }
         int burst = schedule[static_cast<size_t>(slowest)].update_burst;
+        if ((pushed || burst == 0) &&
+            stop_updates.load(std::memory_order_relaxed)) {
+          return;
+        }
         if (burst == 0) {
           // Updates paused for this phase (pure-read regime): sleep rather
           // than spin so the pause doesn't steal cycles from the query
@@ -190,6 +198,7 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
           continue;
         }
         if (!PushTickBurst(engine.bus(), clock, burst)) return;
+        pushed = true;
         std::this_thread::yield();
       }
     });
@@ -306,10 +315,11 @@ TieredDriverReport RunTieredWorkload(TieredEngine& engine,
                          engine.StartUpdatePump();
   if (updates_running) {
     updater = std::thread([&] {
-      while (!stop_updates.load(std::memory_order_relaxed)) {
+      // One burst lands before a stop is honored, as in RunWorkload.
+      do {
         if (!PushTickBurst(engine.bus(), clock, config.update_burst)) return;
         std::this_thread::yield();
-      }
+      } while (!stop_updates.load(std::memory_order_relaxed));
     });
   }
 

@@ -268,5 +268,159 @@ TEST_P(AggregatePropertyTest, MaxNeverRefreshesEliminatedItems) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregatePropertyTest,
                          ::testing::Values(11u, 22u, 33u, 44u));
 
+// ---------------------------------------------------------------------------
+// Selection oracle: the sort-first reference
+// ---------------------------------------------------------------------------
+
+// The selection as it was written before the width scratch and the
+// satisfied-snapshot early return: sort every index by width (descending,
+// ties by index ascending), then walk the order greedily. The production
+// selection must reproduce it index for index.
+std::vector<size_t> ReferenceSumSelection(const std::vector<QueryItem>& items,
+                                          double constraint) {
+  std::vector<size_t> order(items.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    double wa = items[a].interval.Width();
+    double wb = items[b].interval.Width();
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  double finite_total = 0.0;
+  size_t unbounded = 0;
+  for (const auto& item : items) {
+    double w = item.interval.Width();
+    if (w == kInfinity) {
+      ++unbounded;
+    } else {
+      finite_total += w;
+    }
+  }
+  std::vector<size_t> out;
+  for (size_t idx : order) {
+    if (unbounded == 0 && finite_total <= constraint) break;
+    double w = items[idx].interval.Width();
+    if (w == 0.0) break;
+    out.push_back(idx);
+    if (w == kInfinity) {
+      --unbounded;
+    } else {
+      finite_total -= w;
+    }
+  }
+  return out;
+}
+
+// Which widths one random item set draws from.
+enum class WidthMix { kAllExact, kFinite, kMixed };
+
+// One random item interval. The widths mix exact copies, a small set of
+// tied widths, arbitrary ones and — under kMixed only — unbounded and
+// half-unbounded intervals; kAllExact forces every item exact.
+Interval RandomItemInterval(Rng& rng, WidthMix mix) {
+  double center = rng.Uniform(-100, 100);
+  if (mix == WidthMix::kAllExact) return Interval::Exact(center);
+  int64_t kind = rng.UniformInt(0, 5);
+  if (mix == WidthMix::kFinite && (kind == 1 || kind == 2)) kind = 3;
+  switch (kind) {
+    case 0:
+      return Interval::Exact(center);
+    case 1:
+      return Interval::Unbounded();
+    case 2:
+      return rng.Bernoulli(0.5) ? Interval(center, kInfinity)
+                                : Interval(-kInfinity, center);
+    case 3:
+      return Interval::Centered(
+          center, static_cast<double>(rng.UniformInt(1, 3)));  // ties
+    default:
+      return Interval::Centered(center, rng.Uniform(0, 20));
+  }
+}
+
+// A constraint of one of five kinds relative to the items' widths:
+// already satisfied by the finite total, unsatisfied (a fraction of it),
+// zero, negative, or arbitrary.
+double RandomConstraint(Rng& rng, const std::vector<QueryItem>& items) {
+  double finite_total = 0.0;
+  for (const auto& item : items) {
+    double w = item.interval.Width();
+    if (w != kInfinity) finite_total += w;
+  }
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      return finite_total + rng.Uniform(0, 5);
+    case 1:
+      return finite_total * rng.Uniform(0, 1);
+    case 2:
+      return 0.0;
+    case 3:
+      return -rng.Uniform(0, 10);
+    default:
+      return rng.Uniform(0, 100);
+  }
+}
+
+TEST(SelectionOracleTest, SumAndAvgMatchSortFirstReferenceIndexForIndex) {
+  Rng rng(0x5E1EC7);
+  std::vector<size_t> into;  // reused, like ExecuteQuery's scratch
+  int satisfied_sets = 0;
+  int unsatisfied_sets = 0;
+  int tied_sets = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Sizes 0..64, so the empty set and single items come up often and the
+    // thread-local scratch shrinks and grows between calls.
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 64));
+    double u = rng.Uniform(0, 1);
+    WidthMix mix = u < 0.05   ? WidthMix::kAllExact
+                   : u < 0.5 ? WidthMix::kFinite
+                             : WidthMix::kMixed;
+    std::vector<QueryItem> items;
+    for (size_t i = 0; i < n; ++i) {
+      items.push_back({static_cast<int>(i), RandomItemInterval(rng, mix)});
+    }
+    double constraint = RandomConstraint(rng, items);
+
+    std::vector<size_t> want = ReferenceSumSelection(items, constraint);
+    (want.empty() ? satisfied_sets : unsatisfied_sets) += 1;
+    for (size_t i = 1; i < want.size(); ++i) {
+      if (items[want[i]].interval.Width() ==
+          items[want[i - 1]].interval.Width()) {
+        ++tied_sets;
+        break;
+      }
+    }
+    SumRefreshSelectionInto(items, constraint, &into);
+    ASSERT_EQ(into, want) << "SUM, trial " << trial << ", n " << n
+                          << ", constraint " << constraint;
+    ASSERT_EQ(SumRefreshSelection(items, constraint), want)
+        << "SUM, trial " << trial;
+
+    // AVG is the SUM selection at constraint * n.
+    double avg_constraint = n == 0 ? constraint
+                                   : constraint / static_cast<double>(n);
+    std::vector<size_t> avg_want = ReferenceSumSelection(
+        items, avg_constraint * static_cast<double>(n));
+    AvgRefreshSelectionInto(items, avg_constraint, &into);
+    ASSERT_EQ(into, avg_want) << "AVG, trial " << trial << ", n " << n;
+    ASSERT_EQ(AvgRefreshSelection(items, avg_constraint), avg_want)
+        << "AVG, trial " << trial;
+  }
+  // The generator really covered both outcomes and the tie rule.
+  EXPECT_GT(satisfied_sets, 400);
+  EXPECT_GT(unsatisfied_sets, 400);
+  EXPECT_GT(tied_sets, 100);
+}
+
+// The satisfied-snapshot early return must not fire while an unbounded
+// item remains, however small the finite total is.
+TEST(SelectionOracleTest, UnboundedItemIsSelectedEvenWhenFiniteTotalFits) {
+  auto items = Items({Interval(0, 1), Interval(0, kInfinity), Interval(2, 2)});
+  std::vector<size_t> sel;
+  SumRefreshSelectionInto(items, 5.0, &sel);
+  EXPECT_EQ(sel, (std::vector<size_t>{1}));
+  EXPECT_EQ(sel, ReferenceSumSelection(items, 5.0));
+}
+
 }  // namespace
 }  // namespace apc

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "data/random_walk.h"
 #include "query/query_gen.h"
 #include "runtime/workload_driver.h"
+#include "util/rng.h"
 
 namespace apc {
 namespace {
@@ -592,7 +594,227 @@ TEST(ShardedEngineTest, UnknownQueryIdsAreDroppedNotFatal) {
   EXPECT_EQ(engine.counters().rejected_query_ids.load(), 2);
 }
 
-// Tentpole property: snapshot readers (FillIntervals via ExecuteQuery,
+// ExecuteQuery's documented semantics spelled out over the sequential
+// CacheSystem (sources 0..n-1): unowned ids are dropped and counted in
+// `*rejected`; SUM/AVG pull each distinct id of the selection once, in
+// selection order, and MAX/MIN pull candidate by candidate; a pulled id's
+// exact value lands in every item naming it.
+Interval ReferenceQuery(CacheSystem& sys, const Query& query, int64_t now,
+                        int64_t* rejected) {
+  const int n = static_cast<int>(sys.num_sources());
+  std::vector<QueryItem> items;
+  for (int id : query.source_ids) {
+    if (id < 0 || id >= n) {
+      ++*rejected;
+      continue;
+    }
+    items.push_back({id, sys.table().VisibleInterval(id, now)});
+  }
+  // One pull through the public surface: a one-id SUM whose constraint no
+  // width meets selects that id, and every id pulled here is non-exact at
+  // pull time (the selections skip exact items; another pull can only
+  // evict it), so the query charges exactly one Cqr.
+  auto pull = [&](int id) {
+    Interval exact =
+        sys.ExecuteQuery(Query{AggregateKind::kSum, {id}, -1.0}, now);
+    EXPECT_TRUE(exact.IsExact()) << "id " << id;
+    for (auto& item : items) {
+      if (item.source_id == id) item.interval = exact;
+    }
+  };
+  switch (query.kind) {
+    case AggregateKind::kSum:
+    case AggregateKind::kAvg: {
+      std::vector<size_t> selection =
+          query.kind == AggregateKind::kSum
+              ? SumRefreshSelection(items, query.constraint)
+              : AvgRefreshSelection(items, query.constraint);
+      std::vector<int> distinct;
+      for (size_t idx : selection) {
+        int id = items[idx].source_id;
+        if (std::find(distinct.begin(), distinct.end(), id) ==
+            distinct.end()) {
+          distinct.push_back(id);
+        }
+      }
+      for (int id : distinct) pull(id);
+      return query.kind == AggregateKind::kSum ? SumInterval(items)
+                                               : AvgInterval(items);
+    }
+    case AggregateKind::kMax:
+    case AggregateKind::kMin: {
+      // Every pull makes a candidate exact, so the loop ends within
+      // items.size() pulls; the bound keeps a broken pull from spinning.
+      int idx;
+      size_t pulls = 0;
+      while ((idx = query.kind == AggregateKind::kMax
+                        ? NextMaxRefreshCandidate(items, query.constraint)
+                        : NextMinRefreshCandidate(items, query.constraint)) >=
+             0) {
+        if (++pulls > items.size()) {
+          ADD_FAILURE() << "candidate elimination did not terminate";
+          break;
+        }
+        pull(items[static_cast<size_t>(idx)].source_id);
+      }
+      return query.kind == AggregateKind::kMax ? MaxInterval(items)
+                                               : MinInterval(items);
+    }
+  }
+  return Interval(0.0, 0.0);
+}
+
+// The one-pass route+snapshot keeps every item in place while dropping
+// unowned ids mid-query: queries of every kind interleave owned ids,
+// repeats of earlier ids, and unowned ones (negative, past the route,
+// huge), and the engine must match ReferenceQuery answer for answer and
+// charge for charge in every read-lock mode. Two engines: one shard with
+// χ below the source count (evictions, unbounded items), and three shards
+// with χ large enough that nothing is evicted, so per-source state is the
+// sequential system's even though pulls group by shard.
+TEST(ShardedEngineTest, FusedSnapshotMatchesReferenceWithMessyIds) {
+  constexpr int kSources = 40;
+  constexpr int64_t kTicks = 300;
+  const std::vector<int> unowned = {-1, -7, kSources, kSources + 5, 100000,
+                                    kHugeId};
+  struct Shape {
+    int shards;
+    size_t capacity;
+  };
+  for (Shape shape : {Shape{1, 25}, Shape{3, 4 * kSources}}) {
+    for (ReadLockMode mode : kAllModes) {
+      SystemConfig sys_config;
+      sys_config.cache_capacity = shape.capacity;
+      CacheSystem sequential(sys_config, MakeSources(kSources), kSeed);
+      sequential.PopulateInitial(0);
+      sequential.costs().BeginMeasurement(0);
+
+      EngineConfig engine_config;
+      engine_config.system = sys_config;
+      engine_config.num_shards = shape.shards;
+      engine_config.seed = kSeed;
+      engine_config.read_lock_mode = mode;
+      ShardedEngine engine(engine_config, MakeSources(kSources));
+      engine.PopulateInitial(0);
+      engine.BeginMeasurement(0);
+
+      Rng rng(kSeed ^ 0xF05ED);
+      int64_t rejected = 0;
+      Query query;
+      for (int64_t t = 1; t <= kTicks; ++t) {
+        sequential.Tick(t);
+        engine.TickAll(t);
+        query.kind = static_cast<AggregateKind>(rng.UniformInt(0, 3));
+        query.source_ids.clear();
+        const int64_t size = rng.UniformInt(1, 16);
+        for (int64_t i = 0; i < size; ++i) {
+          double u = rng.Uniform(0.0, 1.0);
+          if (u < 0.2) {
+            query.source_ids.push_back(unowned[static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(unowned.size()) -
+                                      1))]);
+          } else if (u < 0.35 && !query.source_ids.empty()) {
+            query.source_ids.push_back(
+                query.source_ids[static_cast<size_t>(rng.UniformInt(
+                    0,
+                    static_cast<int64_t>(query.source_ids.size()) - 1))]);
+          } else {
+            query.source_ids.push_back(
+                static_cast<int>(rng.UniformInt(0, kSources - 1)));
+          }
+        }
+        const double constraints[] = {0.0, 2.0, 10.0, 40.0, 1e9};
+        query.constraint = constraints[rng.UniformInt(0, 4)];
+
+        Interval expected = ReferenceQuery(sequential, query, t, &rejected);
+        Interval actual = engine.ExecuteQuery(query, t);
+        ASSERT_EQ(actual, expected)
+            << "diverged at tick " << t << ", kind "
+            << static_cast<int>(query.kind) << ", mode "
+            << static_cast<int>(mode) << ", shards " << shape.shards;
+      }
+      sequential.costs().EndMeasurement(kTicks);
+      engine.EndMeasurement(kTicks);
+
+      EngineCosts costs = engine.TotalCosts();
+      EXPECT_EQ(costs.value_refreshes, sequential.costs().value_refreshes());
+      EXPECT_EQ(costs.query_refreshes, sequential.costs().query_refreshes());
+      EXPECT_GT(costs.query_refreshes, 0);
+      EXPECT_DOUBLE_EQ(costs.total_cost, sequential.costs().total_cost());
+      EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
+      EXPECT_GT(rejected, 0);
+      EXPECT_EQ(engine.counters().rejected_query_ids.load(), rejected);
+    }
+  }
+}
+
+// The two halves of the one-pass snapshot, driven directly on a shard.
+// TrySnapshot reads optimistically only in seqlock mode; SettleIntervals
+// settles a group under one read acquisition — one read.shared_fallbacks
+// per call in seqlock mode, none in the locking modes — and yields exactly
+// VisibleInterval's answer for cached, evicted and unowned ids, touching
+// no other item.
+TEST(ShardedEngineTest, ShardSettleIntervalsMatchesVisibleInterval) {
+  for (ReadLockMode mode : kAllModes) {
+    RuntimeCounters counters;
+    SystemConfig sys_config;
+    Shard shard(0, sys_config, /*capacity=*/6, kSeed, &counters, mode);
+    for (auto& src : MakeSources(10)) {
+      ASSERT_TRUE(shard.AddSource(std::move(src)));
+    }
+    shard.PopulateInitial(0);
+    for (int64_t t = 1; t <= 20; ++t) shard.TickAll(t);
+    constexpr int64_t kNow = 20;
+
+    const std::vector<int> ids = {9, 7, 0, 3, 42, 5, 1, 8};  // 42 unowned
+    std::vector<QueryItem> items(2 * ids.size() + 1);
+    std::vector<ShardSlot> slots;
+    for (size_t k = 0; k < ids.size(); ++k) {
+      size_t pos = 2 * k + 1;
+      items[pos].source_id = ids[k];
+      slots.push_back({pos, ids[k]});
+    }
+    const Interval untouched(-1.0, -1.0);
+    for (size_t pos = 0; pos < items.size(); pos += 2) {
+      items[pos].interval = untouched;
+    }
+
+    const int64_t fallbacks_before = counters.shared_fallbacks.load();
+    shard.SettleIntervals(slots, &items, kNow);
+    const int64_t fallbacks = counters.shared_fallbacks.load() -
+                              fallbacks_before;
+#if APC_OBS
+    EXPECT_EQ(fallbacks, mode == ReadLockMode::kSeqlock ? 1 : 0)
+        << "mode " << static_cast<int>(mode);
+#else
+    EXPECT_EQ(fallbacks, 0);
+#endif
+    EXPECT_EQ(counters.seqlock_retries.load(), 0);
+
+    int bounded = 0;
+    int unbounded = 0;
+    for (const auto& [pos, id] : slots) {
+      Interval visible = shard.VisibleInterval(id, kNow);
+      EXPECT_EQ(items[pos].interval, visible) << "id " << id;
+      (visible.IsUnbounded() ? unbounded : bounded) += 1;
+      Interval snapshot(-2.0, -2.0);
+      if (mode == ReadLockMode::kSeqlock) {
+        EXPECT_TRUE(shard.TrySnapshot(id, kNow, &snapshot));
+        EXPECT_EQ(snapshot, visible) << "id " << id;
+      } else {
+        EXPECT_FALSE(shard.TrySnapshot(id, kNow, &snapshot));
+        EXPECT_EQ(snapshot, Interval(-2.0, -2.0)) << "left alone";
+      }
+    }
+    EXPECT_GT(bounded, 0);
+    EXPECT_GT(unbounded, 1) << "an evicted id and the unowned one";
+    for (size_t pos = 0; pos < items.size(); pos += 2) {
+      EXPECT_EQ(items[pos].interval, untouched) << "position " << pos;
+    }
+  }
+}
+
+// Tentpole property: snapshot readers (ExecuteQuery's one-pass snapshot,
 // plus the observability snapshots) keep making progress while a writer
 // cycles TickAll. With every value cached and constraints far wider than
 // any interval, no query ever upgrades to an exclusive pull — the whole
@@ -637,6 +859,9 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
     });
   }
   for (auto& reader : readers) reader.join();
+  // The readers can finish before the writer is first scheduled on a
+  // loaded host; stop only once it has completed a tick.
+  while (ticks.load(std::memory_order_relaxed) < 1) std::this_thread::yield();
   stop.store(true);
   writer.join();
 

@@ -329,7 +329,10 @@ TEST(SubscriptionTest, ReprecisionTightensWithoutReregistration) {
   EXPECT_DOUBLE_EQ(records[0].answer.Width(), 0.5);
   EXPECT_LE(records[0].answer.Width(), 0.6);
 
-  // Loosen to 50: nothing to say, nothing charged.
+  // Loosen to 50: nothing to say, nothing charged. The pull above also
+  // published a change batch that the notifier evaluates on its own
+  // thread; wait for it so the count below cannot move under the check.
+  engine.subscriptions().WaitQuiescent();
   int64_t evaluations =
       engine.subscriptions().counters().evaluations.load();
   ASSERT_TRUE(engine.Reprecision(sub, 50.0, 2));
@@ -529,6 +532,11 @@ TEST(SubscriptionTest, NoMissedViolationUnderConcurrentTicks) {
   });
   ticker.join();
   engine.subscriptions().WaitQuiescent();
+  // Nothing is in flight from here on, so every checker attempt probes;
+  // stop only after one more probe lands, so the checker cannot lose the
+  // whole run to the ticker on a loaded host.
+  const int64_t probes_at_quiescence = probes.load();
+  while (probes.load() <= probes_at_quiescence) std::this_thread::yield();
   done.store(true);
   checker.join();
 

@@ -354,6 +354,12 @@ TEST(TieredEngineTest, FanOutCorrectUnderConcurrentEdgeReads) {
       });
     }
     for (auto& reader : readers) reader.join();
+    // The readers can finish before the ticker is first scheduled on a
+    // loaded host; stop only once it has completed a tick, so the run
+    // always checks the invariant across at least one fan-out.
+    while (ticks.load(std::memory_order_relaxed) < 1) {
+      std::this_thread::yield();
+    }
     stop.store(true);
     checker.join();
     ticker.join();
