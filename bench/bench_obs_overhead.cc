@@ -74,7 +74,6 @@ DriverReport RunOne(int64_t queries_per_thread, int num_sources,
   config.num_shards = kShards;
   config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
   config.seed = kSeed;
-  config.read_lock_mode = ReadLockMode::kSeqlock;
   ShardedEngine engine(config,
                        BuildRandomWalkSources(num_sources, RandomWalkParams{},
                                               AdaptivePolicyParams{}, kSeed));
@@ -156,7 +155,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(trace_records));
     report.AddRun()
         .Str("scenario", scenario)
-        .Str("mode", "seqlock")
         .Int("obs_enabled", APC_OBS)
         .Num("zipf_s", 0.0)
         .Int("shards", kShards)

@@ -52,6 +52,11 @@
 #                               # busy-loop neighbour processes, so a test
 #                               # that leans on wall-clock progress fails
 #                               # here; tooling only, no CI job
+#   scripts/check.sh --stress-tsan N # the same N rounds beside the same
+#                               # busy loops, in the --tsan tree
+#                               # (-DAPC_SANITIZE=thread): a data race in
+#                               # an interleaving only load exposes fails
+#                               # here even when no answer goes wrong
 #   scripts/check.sh --analyze  # clang thread-safety analysis: build the
 #                               # whole tree with clang and
 #                               # -Werror=thread-safety(-beta) over the APC_*
@@ -197,15 +202,22 @@ if [[ "${1:-}" == "--perfbench" ]]; then
   pass "perfbench smoke: every workload answered correctly, all offered updates applied"
 fi
 
-if [[ "${1:-}" == "--stress" ]]; then
+if [[ "${1:-}" == "--stress" || "${1:-}" == "--stress-tsan" ]]; then
   REPEAT="${2:-}"
   if ! [[ "$REPEAT" =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: scripts/check.sh --stress N   (N >= 1 repetitions)" >&2
+    echo "usage: scripts/check.sh $1 N   (N >= 1 repetitions)" >&2
     exit 2
   fi
-  cmake -B build-stress -S . -DCMAKE_BUILD_TYPE=Release \
+  if [[ "$1" == "--stress" ]]; then
+    STRESS_DIR=build-stress
+    STRESS_FLAGS=(-DCMAKE_BUILD_TYPE=Release)
+  else
+    STRESS_DIR=build-tsan  # the --tsan tree, flags included
+    STRESS_FLAGS=(-DAPC_SANITIZE=thread)
+  fi
+  cmake -B "$STRESS_DIR" -S . "${STRESS_FLAGS[@]}" \
         -DAPCACHE_BUILD_BENCHES=OFF -DAPCACHE_BUILD_EXAMPLES=OFF
-  cmake --build build-stress -j
+  cmake --build "$STRESS_DIR" -j
   # Three spinning neighbours keep the cores oversubscribed, the load
   # under which a test that waits on wall-clock luck rather than on
   # completion loses its race. They die with this script, pass or fail.
@@ -216,11 +228,11 @@ if [[ "${1:-}" == "--stress" ]]; then
   done
   trap 'st=$?; kill "${neighbours[@]}" 2>/dev/null || true
         if [[ $st -ne 0 ]]; then echo "check.sh[$MODE]: FAIL" >&2; fi' EXIT
-  ctest --test-dir build-stress --output-on-failure --no-tests=error \
+  ctest --test-dir "$STRESS_DIR" --output-on-failure --no-tests=error \
         --timeout "$CTEST_TIMEOUT" -j "$(nproc)" \
         --repeat until-fail:"$REPEAT" -R "$CONCURRENCY_SUITES"
   kill "${neighbours[@]}" 2>/dev/null || true
-  pass "concurrency suites passed $REPEAT times each beside three busy loops"
+  pass "concurrency suites passed $REPEAT times each beside three busy loops ($STRESS_DIR)"
 fi
 
 if [[ "${1:-}" == "--analyze" ]]; then

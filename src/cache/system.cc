@@ -34,46 +34,50 @@ Interval CacheSystem::ExecuteQuery(const Query& query, int64_t now) {
     items.push_back({id, VisibleInterval(id, now)});
   }
 
+  // A query names a set of values: an id occurring more than once is
+  // pulled (and charged, and adapted) once, and its exact value lands in
+  // every occurrence — the engines' semantics, pinned by the parity suites.
+  auto pull = [&](int id) {
+    Interval exact = Interval::Exact(PullExact(id, now));
+    for (auto& item : items) {
+      if (item.source_id == id) item.interval = exact;
+    }
+  };
+
   switch (query.kind) {
-    case AggregateKind::kSum: {
-      // One-shot selection: refreshing an item removes exactly its width
-      // from the result, so the refresh set is known up front.
-      std::vector<size_t> selection =
-          SumRefreshSelection(items, query.constraint);
-      for (size_t idx : selection) {
-        double exact = PullExact(items[idx].source_id, now);
-        items[idx].interval = Interval::Exact(exact);
-      }
-      return SumInterval(items);
-    }
-    case AggregateKind::kMax: {
-      // Iterative selection with candidate elimination: each pull either
-      // lowers the result's upper bound or raises its lower bound.
-      int idx;
-      while ((idx = NextMaxRefreshCandidate(items, query.constraint)) >= 0) {
-        double exact = PullExact(items[static_cast<size_t>(idx)].source_id,
-                                 now);
-        items[static_cast<size_t>(idx)].interval = Interval::Exact(exact);
-      }
-      return MaxInterval(items);
-    }
-    case AggregateKind::kMin: {
-      int idx;
-      while ((idx = NextMinRefreshCandidate(items, query.constraint)) >= 0) {
-        double exact = PullExact(items[static_cast<size_t>(idx)].source_id,
-                                 now);
-        items[static_cast<size_t>(idx)].interval = Interval::Exact(exact);
-      }
-      return MinInterval(items);
-    }
+    case AggregateKind::kSum:
     case AggregateKind::kAvg: {
+      // One-shot selection: refreshing an item removes exactly its width
+      // from the result, so the refresh set is known up front. A selected
+      // id already pulled through an earlier occurrence is skipped.
       std::vector<size_t> selection =
-          AvgRefreshSelection(items, query.constraint);
-      for (size_t idx2 : selection) {
-        double exact = PullExact(items[idx2].source_id, now);
-        items[idx2].interval = Interval::Exact(exact);
+          query.kind == AggregateKind::kSum
+              ? SumRefreshSelection(items, query.constraint)
+              : AvgRefreshSelection(items, query.constraint);
+      for (size_t i = 0; i < selection.size(); ++i) {
+        int id = items[selection[i]].source_id;
+        bool pulled = false;
+        for (size_t j = 0; j < i && !pulled; ++j) {
+          pulled = items[selection[j]].source_id == id;
+        }
+        if (!pulled) pull(id);
       }
-      return AvgInterval(items);
+      return query.kind == AggregateKind::kSum ? SumInterval(items)
+                                               : AvgInterval(items);
+    }
+    case AggregateKind::kMax:
+    case AggregateKind::kMin: {
+      // Iterative selection with candidate elimination: each pull either
+      // tightens the result's determining bound or eliminates candidates.
+      auto next_candidate = query.kind == AggregateKind::kMax
+                                ? NextMaxRefreshCandidate
+                                : NextMinRefreshCandidate;
+      int idx;
+      while ((idx = next_candidate(items, query.constraint)) >= 0) {
+        pull(items[static_cast<size_t>(idx)].source_id);
+      }
+      return query.kind == AggregateKind::kMax ? MaxInterval(items)
+                                               : MinInterval(items);
     }
   }
   return Interval(0.0, 0.0);

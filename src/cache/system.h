@@ -57,9 +57,9 @@ class CacheSystem {
   void Tick(int64_t now);
 
   /// Executes a bounded aggregate query at time `now`. Pulls exact values
-  /// (cost Cqr per value) until the result interval satisfies the query's
-  /// precision constraint; each pull also ships a fresh interval that is
-  /// offered to the cache. Returns the final result interval, whose width
+  /// (cost Cqr per distinct id: a repeated id is pulled once) until the
+  /// result interval satisfies the query's precision constraint; each pull
+  /// also ships a fresh interval that is offered to the cache. Returns the final result interval, whose width
   /// is guaranteed to be at most the constraint.
   Interval ExecuteQuery(const Query& query, int64_t now);
 

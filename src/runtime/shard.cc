@@ -5,11 +5,8 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "runtime/runtime_util.h"
 
 namespace apc {
-
-using runtime_internal::ReadLock;
 
 void RuntimeCounters::RegisterWith(obs::MetricsRegistry* registry,
                                    const std::string& prefix) const {
@@ -28,10 +25,9 @@ void RuntimeCounters::RegisterWith(obs::MetricsRegistry* registry,
 }
 
 Shard::Shard(int index, const SystemConfig& config, size_t capacity,
-             uint64_t seed, RuntimeCounters* counters, ReadLockMode read_mode)
+             uint64_t seed, RuntimeCounters* counters)
     : index_(index),
       counters_(counters),
-      read_mode_(read_mode),
       table_({config.costs, capacity, config.push_loss_probability}, seed) {}
 
 bool Shard::AddSource(std::unique_ptr<Source> source) {
@@ -198,26 +194,22 @@ void Shard::ApplyEvents(const UpdateEvent* events, size_t count) {
 }
 
 Interval Shard::VisibleInterval(int id, int64_t now) const {
-  if (read_mode_ == ReadLockMode::kSeqlock) {
-    Interval out;
-    if (TryVisibleIntervalNoLock(id, now, &out) != SnapshotRead::kTorn) {
-      return out;
-    }
-    // Torn by a racing refresh: settle it under the shared lock.
-    RecordSeqlockRetry(id, now);
-    RecordSharedFallback(id, now, 1);
+  Interval out;
+  if (TryVisibleIntervalNoLock(id, now, &out) != SnapshotRead::kTorn) {
+    return out;
   }
-  ReadLock lock(mu_, read_mode_);
+  // Torn by a racing refresh: settle it under the shared lock.
+  RecordSeqlockRetry(id, now);
+  RecordSharedFallback(id, now, 1);
+  ReaderMutexLock lock(mu_);
   return table_.VisibleInterval(id, now);
 }
 
 void Shard::SettleIntervals(const std::vector<ShardSlot>& slots,
                             std::vector<QueryItem>* items,
                             int64_t now) const {
-  if (read_mode_ == ReadLockMode::kSeqlock) {
-    RecordSharedFallback(/*id=*/-1, now, static_cast<int64_t>(slots.size()));
-  }
-  ReadLock lock(mu_, read_mode_);
+  RecordSharedFallback(/*id=*/-1, now, static_cast<int64_t>(slots.size()));
+  ReaderMutexLock lock(mu_);
   for (const auto& [pos, id] : slots) {
     (*items)[pos].interval = table_.VisibleInterval(id, now);
   }
@@ -289,30 +281,19 @@ Interval Shard::PointRead(int id, double max_width, int64_t now) {
   // Root span of a point read's lifecycle (kFull only, like kReadStart):
   // retries, fallbacks, and the exact pull all land under it.
   obs::TraceScope span(obs::SpanKind::kPointRead, id, now);
-  obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now,
-                             static_cast<int64_t>(read_mode_));
-  // Fast path per mode; the exclusive baseline does the whole read under
-  // its one exclusive acquisition, exactly like the original runtime — a
-  // second acquisition there would bias the bench comparison.
-  if (read_mode_ == ReadLockMode::kSeqlock) {
+  obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now);
+  {
     Interval visible;
     SnapshotRead read = TryVisibleIntervalNoLock(id, now, &visible);
     if (read == SnapshotRead::kHit && visible.Width() <= max_width) {
       return visible;
     }
     if (read == SnapshotRead::kTorn) RecordSeqlockRetry(id, now);
-  } else if (read_mode_ == ReadLockMode::kShared) {
-    ReaderMutexLock lock(mu_);
-    const ProtocolEntry* entry = table_.Find(id);
-    if (entry != nullptr) {
-      Interval visible = entry->approx.AtTime(now);
-      if (visible.Width() <= max_width) return visible;
-    }
   }
   WriterMutexLock lock(mu_);
-  // Check (again, in the optimistic modes) under the exclusive lock: a
-  // refresh may have landed between the two acquisitions, making the pull
-  // (and its Cqr charge) needless.
+  // Check again under the exclusive lock: a refresh may have landed
+  // between the optimistic read and this acquisition, making the pull (and
+  // its Cqr charge) needless.
   const ProtocolEntry* entry = table_.Find(id);
   if (entry != nullptr) {
     Interval visible = entry->approx.AtTime(now);
@@ -339,19 +320,19 @@ void Shard::EndMeasurement(int64_t now) {
 }
 
 CostTracker Shard::CostsSnapshot() const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   return table_.costs();
 }
 
 std::pair<double, size_t> Shard::RawWidthSum() const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   double total = 0.0;
   for (const auto& src : sources_) total += src->raw_width();
   return {total, sources_.size()};
 }
 
 size_t Shard::CacheSize() const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   return table_.size();
 }
 
@@ -361,17 +342,17 @@ size_t Shard::CacheCapacity() const {
 }
 
 int64_t Shard::lost_pushes() const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   return table_.lost_pushes();
 }
 
 int64_t Shard::rejected_updates() const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   return rejected_updates_;
 }
 
 double Shard::SourceValue(int id) const {
-  ReadLock lock(mu_, read_mode_);
+  ReaderMutexLock lock(mu_);
   Source* src = FindSource(id);
   return src == nullptr ? std::numeric_limits<double>::quiet_NaN()
                         : src->value();

@@ -20,28 +20,6 @@
 
 namespace apc {
 
-/// How snapshot reads acquire the shard. The runtime's hot path is a read
-/// that the cache already satisfies; the three modes trade lock traffic on
-/// exactly that path and exist side by side so the bench measures (rather
-/// than assumes) what each step buys:
-///
-///  * kSeqlock   — the default. Snapshot reads validate an optimistic
-///                 per-entry read against the ProtocolTable's versioned
-///                 slots and take NO shard lock at all; only a torn read
-///                 (a racing refresh of the same entry) falls back to the
-///                 shared lock. Refreshes still serialize exclusively.
-///  * kShared    — snapshot reads take the shard's shared_mutex shared
-///                 (the pre-seqlock runtime): readers don't serialize
-///                 against each other, but every read still pays two
-///                 atomic RMWs on the shared lock word.
-///  * kExclusive — every access exclusive (the original runtime); the
-///                 bench's contention baseline.
-enum class ReadLockMode {
-  kSeqlock,
-  kShared,
-  kExclusive,
-};
-
 /// Engine-wide tallies kept in lock-free counters so monitoring threads can
 /// observe totals without taking any shard lock. Shards bump these
 /// alongside their own (mutex-guarded) CostTracker; after a quiescent point
@@ -95,14 +73,13 @@ using ShardSlot = std::pair<size_t, int>;
 ///
 /// Writes (ticks, pulls) always hold the shard's shared_mutex exclusively.
 /// Pure snapshot reads (TrySnapshot/SettleIntervals, VisibleInterval, the
-/// satisfied branch of PointRead) follow the configured ReadLockMode:
-/// optimistic per-entry seqlock validation by default — the read hot path
-/// acquires no lock at all — with shared- and exclusive-acquisition modes
-/// kept as measurable bench baselines. An aggregate query snapshots in one
-/// pass over its ids: the engine routes each id and tries TrySnapshot at
-/// once; only ids whose read tore (or, in the locking modes, every id) are
-/// grouped per shard and settled by SettleIntervals under one read
-/// acquisition per shard.
+/// satisfied branch of PointRead) validate an optimistic per-entry read
+/// against the ProtocolTable's versioned slots and acquire no lock at all;
+/// only a torn read (a racing refresh of the same entry) falls back to the
+/// shared lock. An aggregate query snapshots in one pass over its ids: the
+/// engine routes each id and tries TrySnapshot at once; only ids whose read
+/// tore are grouped per shard and settled by SettleIntervals under one
+/// shared acquisition per shard.
 ///
 /// The refresh semantics are the shared protocol core's
 /// (core/protocol_table.h), the same table the sequential CacheSystem
@@ -117,8 +94,7 @@ class Shard {
   /// `capacity` is this shard's slice of the system's cache capacity χ.
   /// `counters` (owned by the engine) may be null in unit tests.
   Shard(int index, const SystemConfig& config, size_t capacity, uint64_t seed,
-        RuntimeCounters* counters,
-        ReadLockMode read_mode = ReadLockMode::kSeqlock);
+        RuntimeCounters* counters);
 
   /// Registers a source on this shard. Returns false — and drops the
   /// source — when it is null or its id is already registered with the
@@ -184,16 +160,13 @@ class Shard {
   /// the unbounded interval when the value is not cached.
   Interval VisibleInterval(int id, int64_t now) const;
 
-  /// The lock-free half of an aggregate's snapshot. In seqlock mode it
-  /// reads `id`'s visible interval into `*out` (the unbounded interval
-  /// when uncached or unowned) with no lock and returns true when the
-  /// optimistic read validated. It returns false, leaving `*out` alone,
-  /// when the read tore against a racing refresh (counted in
-  /// read.seqlock_retries) and always in the locking modes, which never
-  /// read optimistically: the caller then settles the id with
-  /// SettleIntervals.
+  /// The lock-free half of an aggregate's snapshot: reads `id`'s visible
+  /// interval into `*out` (the unbounded interval when uncached or unowned)
+  /// with no lock and returns true when the optimistic read validated. It
+  /// returns false, leaving `*out` alone, when the read tore against a
+  /// racing refresh (counted in read.seqlock_retries): the caller then
+  /// settles the id with SettleIntervals.
   bool TrySnapshot(int id, int64_t now, Interval* out) const {
-    if (read_mode_ != ReadLockMode::kSeqlock) return false;
     if (TryVisibleIntervalNoLock(id, now, out) != SnapshotRead::kTorn) {
       return true;
     }
@@ -202,10 +175,9 @@ class Shard {
   }
 
   /// The locked half: fills `items->at(slot.first).interval` with the
-  /// visible interval of `slot.second` for every slot under ONE read
-  /// acquisition (exclusive in kExclusive). In seqlock mode the slots are
-  /// the ids whose TrySnapshot tore, and the acquisition counts as one
-  /// read.shared_fallbacks.
+  /// visible interval of `slot.second` for every slot under ONE shared
+  /// acquisition. The slots are the ids whose TrySnapshot tore, and the
+  /// acquisition counts as one read.shared_fallbacks.
   void SettleIntervals(const std::vector<ShardSlot>& slots,
                        std::vector<QueryItem>* items, int64_t now) const;
 
@@ -233,8 +205,8 @@ class Shard {
                        std::vector<QueryItem>* items, int64_t now);
 
   /// Precision-bounded point read: returns the cached interval when its
-  /// width already satisfies `max_width` (optimistic or shared read per
-  /// the mode), otherwise takes the exclusive lock, re-checks — a racing
+  /// width already satisfies `max_width` (an optimistic, lock-free read),
+  /// otherwise takes the exclusive lock, re-checks — a racing
   /// refresh may have satisfied the bound in between, in which case
   /// nothing is charged — and pulls the exact value (one query-initiated
   /// refresh). An unowned id yields the unbounded interval, charge-free,
@@ -288,7 +260,6 @@ class Shard {
 
   const int index_;
   RuntimeCounters* const counters_;
-  const ReadLockMode read_mode_;
 
   /// One lock class kEngineShard for every shard: engines take shard locks
   /// one at a time (never two shards nested), after the subscription

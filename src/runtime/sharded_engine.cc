@@ -5,7 +5,7 @@
 #include "obs/attribution.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "runtime/runtime_util.h"
+#include "runtime/partition.h"
 
 namespace apc {
 
@@ -79,7 +79,7 @@ ShardedEngine::ShardedEngine(const EngineConfig& config,
     shards_.push_back(std::make_unique<Shard>(
         i, config.system, cap_hi - cap_lo,
         config.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i)),
-        &counters_, config.read_lock_mode));
+        &counters_));
   }
   for (auto& src : sources) {
     // Reject malformed sources at construction: null, an invalid policy
@@ -160,9 +160,9 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
   static thread_local ShardGroups groups;
 
   // One pass routes every id and snapshots it: a lock-free seqlock read
-  // settles most ids on the spot, and only ids whose read tore — or every
-  // id in the locking modes — are grouped per shard and settled below
-  // under one read acquisition per shard touched. Ids no shard owns are
+  // settles most ids on the spot, and only ids whose read tore are grouped
+  // per shard and settled below under one shared acquisition per shard
+  // touched. Ids no shard owns are
   // malformed input: dropped from the item set and counted, so the
   // aggregate ranges over the known sources only (positions are taken
   // after the drop, so they index the kept items).

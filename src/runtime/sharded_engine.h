@@ -27,10 +27,6 @@ struct EngineConfig {
   /// producers; the bus keeps one ring per shard). Must be positive: a
   /// zero-capacity bus would block every producer forever.
   size_t bus_capacity = 1024;
-  /// How snapshot reads acquire shards (see ReadLockMode): optimistic
-  /// per-entry seqlock validation by default; kShared and kExclusive are
-  /// the bench baselines the seqlock path is measured against.
-  ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
   /// Capacity of the subscription NotificationHub (backpressure bound for
   /// the notifier; must be positive).
   size_t subscription_hub_capacity = 1024;

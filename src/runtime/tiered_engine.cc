@@ -9,12 +9,11 @@
 #include "obs/attribution.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "runtime/runtime_util.h"
+#include "runtime/partition.h"
 
 namespace apc {
 
 using runtime_internal::MixId;
-using runtime_internal::ReadLock;
 
 void TieredCounters::RegisterWith(obs::MetricsRegistry* registry,
                                   const std::string& prefix) const {
@@ -418,20 +417,13 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
   RegionalShard& rs = *regional_[static_cast<size_t>(s)];
   EdgeShard& es = *edges_[static_cast<size_t>(edge)][static_cast<size_t>(s)];
 
-  // Edge-local fast path — the read the protocol optimizes for. In
-  // seqlock mode this touches no lock word at all; a torn read simply
-  // escalates into the locked path below, which re-checks.
-  if (config_.read_lock_mode == ReadLockMode::kSeqlock) {
+  // Edge-local fast path — the read the protocol optimizes for. It
+  // touches no lock word at all; a torn read simply escalates into the
+  // locked path below, which re-checks.
+  {
     Interval visible;
     if (TryEdgeVisibleNoLock(es, id, now, &visible) == SnapshotRead::kHit &&
         visible.Width() <= constraint) {
-      counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
-      return visible;
-    }
-  } else {
-    ReadLock lock(es.mu, config_.read_lock_mode);
-    Interval visible = es.table.VisibleInterval(id, now);
-    if (visible.Width() <= constraint) {
       counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
       return visible;
     }
@@ -445,12 +437,12 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
   obs::TraceRecorder::Record(obs::TraceEvent::kEscalateRegional, id, now,
                              edge);
   {
-    ReadLock rlock(rs.mu, config_.read_lock_mode);
+    ReaderMutexLock rlock(rs.mu);
     {
       // Re-check the edge under its lock: a refresh (or a neighbor's
       // escalation) may have narrowed it since the optimistic miss, in
       // which case nothing is charged.
-      ReadLock elock(es.mu, config_.read_lock_mode);
+      ReaderMutexLock elock(es.mu);
       Interval visible = es.table.VisibleInterval(id, now);
       if (visible.Width() <= constraint) {
         counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);

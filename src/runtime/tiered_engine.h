@@ -54,10 +54,6 @@ struct TieredConfig {
   /// dropped. 0 disables.
   double wan_push_loss = 0.0;
   double lan_push_loss = 0.0;
-  /// How edge-local snapshot reads acquire their shard (see ReadLockMode):
-  /// optimistic seqlock validation by default; kShared/kExclusive are the
-  /// bench baselines.
-  ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
   /// Per-ring capacity of the update bus (backpressure bound for
   /// producers; the bus keeps one ring per regional shard). Must be
   /// positive.

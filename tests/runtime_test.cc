@@ -21,10 +21,6 @@ namespace {
 
 constexpr uint64_t kSeed = 2001;
 
-constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared,
-                                      ReadLockMode::kExclusive};
-
 std::vector<std::unique_ptr<Source>> MakeSources(
     int n, const AdaptivePolicyParams& policy = AdaptivePolicyParams{}) {
   RandomWalkParams walk;
@@ -210,14 +206,16 @@ TEST(ShardedEngineTest, SingleShardMatchesCacheSystemExactly) {
 // Lockstep parity harness shared by the drift-detection tests below: a
 // single-shard engine and the sequential CacheSystem, built from identical
 // source populations and driven tick-for-tick, must return the same
-// intervals and account the same costs — in EVERY read-lock mode, since
-// both sides drive the same ProtocolTable and a 1-thread optimistic read
-// can never tear.
+// intervals and account the same costs — both sides drive the same
+// ProtocolTable and a 1-thread optimistic read can never tear. With
+// `repeat_ids`, every query also names some of its ids again (appended in
+// a seeded order), so the two sides must agree that a query ranges over a
+// set of values: a repeated id is pulled, charged and adapted once.
 void ExpectLockstepParity(const SystemConfig& sys_config,
                           const AdaptivePolicyParams& policy,
                           const QueryWorkloadParams& workload,
-                          ReadLockMode mode, int num_sources, int64_t ticks,
-                          uint64_t query_seed) {
+                          int num_sources, int64_t ticks, uint64_t query_seed,
+                          bool repeat_ids = false) {
   CacheSystem sequential(sys_config, MakeSources(num_sources, policy), kSeed);
   sequential.PopulateInitial(0);
   sequential.costs().BeginMeasurement(0);
@@ -226,20 +224,27 @@ void ExpectLockstepParity(const SystemConfig& sys_config,
   engine_config.system = sys_config;
   engine_config.num_shards = 1;
   engine_config.seed = kSeed;
-  engine_config.read_lock_mode = mode;
   ShardedEngine engine(engine_config, MakeSources(num_sources, policy));
   engine.PopulateInitial(0);
   engine.BeginMeasurement(0);
 
-  QueryGenerator sequential_queries(workload, query_seed);
-  QueryGenerator engine_queries(workload, query_seed);
+  QueryGenerator queries(workload, query_seed);
+  Rng repeats(query_seed ^ 0x7E9EA7);
   for (int64_t t = 1; t <= ticks; ++t) {
     sequential.Tick(t);
     engine.TickAll(t);
-    Interval expected = sequential.ExecuteQuery(sequential_queries.Next(), t);
-    Interval actual = engine.ExecuteQuery(engine_queries.Next(), t);
-    ASSERT_EQ(actual, expected)
-        << "diverged at tick " << t << " in mode " << static_cast<int>(mode);
+    Query query = queries.Next();
+    if (repeat_ids) {
+      const int64_t extra = repeats.UniformInt(1, 4);
+      const int64_t last = static_cast<int64_t>(query.source_ids.size()) - 1;
+      for (int64_t i = 0; i < extra; ++i) {
+        query.source_ids.push_back(
+            query.source_ids[static_cast<size_t>(repeats.UniformInt(0, last))]);
+      }
+    }
+    Interval expected = sequential.ExecuteQuery(query, t);
+    Interval actual = engine.ExecuteQuery(query, t);
+    ASSERT_EQ(actual, expected) << "diverged at tick " << t;
   }
   sequential.costs().EndMeasurement(ticks);
   engine.EndMeasurement(ticks);
@@ -270,10 +275,8 @@ TEST(ShardedEngineTest, LockstepParityWithThresholdSnapping) {
 
   QueryWorkloadParams workload = MakeWorkload(30);
   workload.constraints.avg = 10.0;  // tight enough that pulls shrink widths
-  for (ReadLockMode mode : kAllModes) {
-    ExpectLockstepParity(sys_config, policy, workload, mode,
-                         /*num_sources=*/30, /*ticks=*/300, kSeed ^ 0x5A);
-  }
+  ExpectLockstepParity(sys_config, policy, workload, /*num_sources=*/30,
+                       /*ticks=*/300, kSeed ^ 0x5A);
 
   // The thresholds genuinely fired: drive one system again and observe
   // both snapped-to-zero and snapped-to-infinity shipments.
@@ -298,8 +301,8 @@ TEST(ShardedEngineTest, LockstepParityWithThresholdSnapping) {
 // Satellite: MAX/MIN candidate elimination under push-loss injection —
 // lost pushes leave stale cached intervals, so the elimination order (and
 // which shard-side runs it batches) is stressed far harder than under
-// reliable delivery. All three read modes must still match the sequential
-// system pull-for-pull.
+// reliable delivery. The engine must still match the sequential system
+// pull-for-pull.
 TEST(ShardedEngineTest, LockstepParityMaxMinUnderPushLoss) {
   SystemConfig sys_config;
   sys_config.cache_capacity = 18;
@@ -310,10 +313,29 @@ TEST(ShardedEngineTest, LockstepParityMaxMinUnderPushLoss) {
   workload.min_fraction = 0.45;
   workload.avg_fraction = 0.0;
 
-  for (ReadLockMode mode : kAllModes) {
-    ExpectLockstepParity(sys_config, AdaptivePolicyParams{}, workload, mode,
-                         /*num_sources=*/24, /*ticks=*/300, kSeed ^ 0x5B);
-  }
+  ExpectLockstepParity(sys_config, AdaptivePolicyParams{}, workload,
+                       /*num_sources=*/24, /*ticks=*/300, kSeed ^ 0x5B);
+}
+
+// A query naming an id more than once ranges over the set of its values:
+// the sequential system and the engine both pull (and charge, and adapt) a
+// repeated id once, and its exact value lands in every occurrence. Every
+// kind, tight constraints so repeated ids are selected for pulls, under
+// push loss and with threshold snapping so a double charge or a double
+// width adaptation would surface in the costs or the raw widths.
+TEST(ShardedEngineTest, LockstepParityWithRepeatedIds) {
+  SystemConfig sys_config;
+  sys_config.cache_capacity = 18;
+  sys_config.push_loss_probability = 0.2;
+
+  AdaptivePolicyParams policy;
+  policy.delta0 = 1.5;
+  policy.delta1 = 12.0;
+
+  QueryWorkloadParams workload = MakeWorkload(24);  // all four kinds
+  workload.constraints.avg = 6.0;
+  ExpectLockstepParity(sys_config, policy, workload, /*num_sources=*/24,
+                       /*ticks=*/300, kSeed ^ 0x5C, /*repeat_ids=*/true);
 }
 
 // The guarantee extends to failure injection: shard 0 inherits the engine
@@ -594,81 +616,29 @@ TEST(ShardedEngineTest, UnknownQueryIdsAreDroppedNotFatal) {
   EXPECT_EQ(engine.counters().rejected_query_ids.load(), 2);
 }
 
-// ExecuteQuery's documented semantics spelled out over the sequential
-// CacheSystem (sources 0..n-1): unowned ids are dropped and counted in
-// `*rejected`; SUM/AVG pull each distinct id of the selection once, in
-// selection order, and MAX/MIN pull candidate by candidate; a pulled id's
-// exact value lands in every item naming it.
+// ExecuteQuery's documented semantics over the sequential CacheSystem
+// (sources 0..n-1): unowned ids are dropped and counted in `*rejected`,
+// and the rest run through CacheSystem::ExecuteQuery, which pulls a
+// repeated id once (pinned by LockstepParityWithRepeatedIds).
 Interval ReferenceQuery(CacheSystem& sys, const Query& query, int64_t now,
                         int64_t* rejected) {
   const int n = static_cast<int>(sys.num_sources());
-  std::vector<QueryItem> items;
+  Query owned{query.kind, {}, query.constraint};
   for (int id : query.source_ids) {
     if (id < 0 || id >= n) {
       ++*rejected;
       continue;
     }
-    items.push_back({id, sys.table().VisibleInterval(id, now)});
+    owned.source_ids.push_back(id);
   }
-  // One pull through the public surface: a one-id SUM whose constraint no
-  // width meets selects that id, and every id pulled here is non-exact at
-  // pull time (the selections skip exact items; another pull can only
-  // evict it), so the query charges exactly one Cqr.
-  auto pull = [&](int id) {
-    Interval exact =
-        sys.ExecuteQuery(Query{AggregateKind::kSum, {id}, -1.0}, now);
-    EXPECT_TRUE(exact.IsExact()) << "id " << id;
-    for (auto& item : items) {
-      if (item.source_id == id) item.interval = exact;
-    }
-  };
-  switch (query.kind) {
-    case AggregateKind::kSum:
-    case AggregateKind::kAvg: {
-      std::vector<size_t> selection =
-          query.kind == AggregateKind::kSum
-              ? SumRefreshSelection(items, query.constraint)
-              : AvgRefreshSelection(items, query.constraint);
-      std::vector<int> distinct;
-      for (size_t idx : selection) {
-        int id = items[idx].source_id;
-        if (std::find(distinct.begin(), distinct.end(), id) ==
-            distinct.end()) {
-          distinct.push_back(id);
-        }
-      }
-      for (int id : distinct) pull(id);
-      return query.kind == AggregateKind::kSum ? SumInterval(items)
-                                               : AvgInterval(items);
-    }
-    case AggregateKind::kMax:
-    case AggregateKind::kMin: {
-      // Every pull makes a candidate exact, so the loop ends within
-      // items.size() pulls; the bound keeps a broken pull from spinning.
-      int idx;
-      size_t pulls = 0;
-      while ((idx = query.kind == AggregateKind::kMax
-                        ? NextMaxRefreshCandidate(items, query.constraint)
-                        : NextMinRefreshCandidate(items, query.constraint)) >=
-             0) {
-        if (++pulls > items.size()) {
-          ADD_FAILURE() << "candidate elimination did not terminate";
-          break;
-        }
-        pull(items[static_cast<size_t>(idx)].source_id);
-      }
-      return query.kind == AggregateKind::kMax ? MaxInterval(items)
-                                               : MinInterval(items);
-    }
-  }
-  return Interval(0.0, 0.0);
+  return sys.ExecuteQuery(owned, now);
 }
 
 // The one-pass route+snapshot keeps every item in place while dropping
 // unowned ids mid-query: queries of every kind interleave owned ids,
 // repeats of earlier ids, and unowned ones (negative, past the route,
 // huge), and the engine must match ReferenceQuery answer for answer and
-// charge for charge in every read-lock mode. Two engines: one shard with
+// charge for charge. Two engines: one shard with
 // χ below the source count (evictions, unbounded items), and three shards
 // with χ large enough that nothing is evicted, so per-source state is the
 // sequential system's even though pulls group by shard.
@@ -682,135 +652,122 @@ TEST(ShardedEngineTest, FusedSnapshotMatchesReferenceWithMessyIds) {
     size_t capacity;
   };
   for (Shape shape : {Shape{1, 25}, Shape{3, 4 * kSources}}) {
-    for (ReadLockMode mode : kAllModes) {
-      SystemConfig sys_config;
-      sys_config.cache_capacity = shape.capacity;
-      CacheSystem sequential(sys_config, MakeSources(kSources), kSeed);
-      sequential.PopulateInitial(0);
-      sequential.costs().BeginMeasurement(0);
+    SystemConfig sys_config;
+    sys_config.cache_capacity = shape.capacity;
+    CacheSystem sequential(sys_config, MakeSources(kSources), kSeed);
+    sequential.PopulateInitial(0);
+    sequential.costs().BeginMeasurement(0);
 
-      EngineConfig engine_config;
-      engine_config.system = sys_config;
-      engine_config.num_shards = shape.shards;
-      engine_config.seed = kSeed;
-      engine_config.read_lock_mode = mode;
-      ShardedEngine engine(engine_config, MakeSources(kSources));
-      engine.PopulateInitial(0);
-      engine.BeginMeasurement(0);
+    EngineConfig engine_config;
+    engine_config.system = sys_config;
+    engine_config.num_shards = shape.shards;
+    engine_config.seed = kSeed;
+    ShardedEngine engine(engine_config, MakeSources(kSources));
+    engine.PopulateInitial(0);
+    engine.BeginMeasurement(0);
 
-      Rng rng(kSeed ^ 0xF05ED);
-      int64_t rejected = 0;
-      Query query;
-      for (int64_t t = 1; t <= kTicks; ++t) {
-        sequential.Tick(t);
-        engine.TickAll(t);
-        query.kind = static_cast<AggregateKind>(rng.UniformInt(0, 3));
-        query.source_ids.clear();
-        const int64_t size = rng.UniformInt(1, 16);
-        for (int64_t i = 0; i < size; ++i) {
-          double u = rng.Uniform(0.0, 1.0);
-          if (u < 0.2) {
-            query.source_ids.push_back(unowned[static_cast<size_t>(
-                rng.UniformInt(0, static_cast<int64_t>(unowned.size()) -
-                                      1))]);
-          } else if (u < 0.35 && !query.source_ids.empty()) {
-            query.source_ids.push_back(
-                query.source_ids[static_cast<size_t>(rng.UniformInt(
-                    0,
-                    static_cast<int64_t>(query.source_ids.size()) - 1))]);
-          } else {
-            query.source_ids.push_back(
-                static_cast<int>(rng.UniformInt(0, kSources - 1)));
-          }
+    Rng rng(kSeed ^ 0xF05ED);
+    int64_t rejected = 0;
+    Query query;
+    for (int64_t t = 1; t <= kTicks; ++t) {
+      sequential.Tick(t);
+      engine.TickAll(t);
+      query.kind = static_cast<AggregateKind>(rng.UniformInt(0, 3));
+      query.source_ids.clear();
+      const int64_t size = rng.UniformInt(1, 16);
+      for (int64_t i = 0; i < size; ++i) {
+        double u = rng.Uniform(0.0, 1.0);
+        if (u < 0.2) {
+          query.source_ids.push_back(unowned[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(unowned.size()) -
+                                    1))]);
+        } else if (u < 0.35 && !query.source_ids.empty()) {
+          query.source_ids.push_back(
+              query.source_ids[static_cast<size_t>(rng.UniformInt(
+                  0,
+                  static_cast<int64_t>(query.source_ids.size()) - 1))]);
+        } else {
+          query.source_ids.push_back(
+              static_cast<int>(rng.UniformInt(0, kSources - 1)));
         }
-        const double constraints[] = {0.0, 2.0, 10.0, 40.0, 1e9};
-        query.constraint = constraints[rng.UniformInt(0, 4)];
-
-        Interval expected = ReferenceQuery(sequential, query, t, &rejected);
-        Interval actual = engine.ExecuteQuery(query, t);
-        ASSERT_EQ(actual, expected)
-            << "diverged at tick " << t << ", kind "
-            << static_cast<int>(query.kind) << ", mode "
-            << static_cast<int>(mode) << ", shards " << shape.shards;
       }
-      sequential.costs().EndMeasurement(kTicks);
-      engine.EndMeasurement(kTicks);
+      const double constraints[] = {0.0, 2.0, 10.0, 40.0, 1e9};
+      query.constraint = constraints[rng.UniformInt(0, 4)];
 
-      EngineCosts costs = engine.TotalCosts();
-      EXPECT_EQ(costs.value_refreshes, sequential.costs().value_refreshes());
-      EXPECT_EQ(costs.query_refreshes, sequential.costs().query_refreshes());
-      EXPECT_GT(costs.query_refreshes, 0);
-      EXPECT_DOUBLE_EQ(costs.total_cost, sequential.costs().total_cost());
-      EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
-      EXPECT_GT(rejected, 0);
-      EXPECT_EQ(engine.counters().rejected_query_ids.load(), rejected);
+      Interval expected = ReferenceQuery(sequential, query, t, &rejected);
+      Interval actual = engine.ExecuteQuery(query, t);
+      ASSERT_EQ(actual, expected)
+          << "diverged at tick " << t << ", kind "
+          << static_cast<int>(query.kind) << ", shards " << shape.shards;
     }
+    sequential.costs().EndMeasurement(kTicks);
+    engine.EndMeasurement(kTicks);
+
+    EngineCosts costs = engine.TotalCosts();
+    EXPECT_EQ(costs.value_refreshes, sequential.costs().value_refreshes());
+    EXPECT_EQ(costs.query_refreshes, sequential.costs().query_refreshes());
+    EXPECT_GT(costs.query_refreshes, 0);
+    EXPECT_DOUBLE_EQ(costs.total_cost, sequential.costs().total_cost());
+    EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
+    EXPECT_GT(rejected, 0);
+    EXPECT_EQ(engine.counters().rejected_query_ids.load(), rejected);
   }
 }
 
 // The two halves of the one-pass snapshot, driven directly on a shard.
-// TrySnapshot reads optimistically only in seqlock mode; SettleIntervals
-// settles a group under one read acquisition — one read.shared_fallbacks
-// per call in seqlock mode, none in the locking modes — and yields exactly
-// VisibleInterval's answer for cached, evicted and unowned ids, touching
-// no other item.
+// TrySnapshot validates its optimistic read; SettleIntervals settles a
+// group under one shared acquisition — one read.shared_fallbacks per call —
+// and yields exactly VisibleInterval's answer for cached, evicted and
+// unowned ids, touching no other item.
 TEST(ShardedEngineTest, ShardSettleIntervalsMatchesVisibleInterval) {
-  for (ReadLockMode mode : kAllModes) {
-    RuntimeCounters counters;
-    SystemConfig sys_config;
-    Shard shard(0, sys_config, /*capacity=*/6, kSeed, &counters, mode);
-    for (auto& src : MakeSources(10)) {
-      ASSERT_TRUE(shard.AddSource(std::move(src)));
-    }
-    shard.PopulateInitial(0);
-    for (int64_t t = 1; t <= 20; ++t) shard.TickAll(t);
-    constexpr int64_t kNow = 20;
+  RuntimeCounters counters;
+  SystemConfig sys_config;
+  Shard shard(0, sys_config, /*capacity=*/6, kSeed, &counters);
+  for (auto& src : MakeSources(10)) {
+    ASSERT_TRUE(shard.AddSource(std::move(src)));
+  }
+  shard.PopulateInitial(0);
+  for (int64_t t = 1; t <= 20; ++t) shard.TickAll(t);
+  constexpr int64_t kNow = 20;
 
-    const std::vector<int> ids = {9, 7, 0, 3, 42, 5, 1, 8};  // 42 unowned
-    std::vector<QueryItem> items(2 * ids.size() + 1);
-    std::vector<ShardSlot> slots;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      size_t pos = 2 * k + 1;
-      items[pos].source_id = ids[k];
-      slots.push_back({pos, ids[k]});
-    }
-    const Interval untouched(-1.0, -1.0);
-    for (size_t pos = 0; pos < items.size(); pos += 2) {
-      items[pos].interval = untouched;
-    }
+  const std::vector<int> ids = {9, 7, 0, 3, 42, 5, 1, 8};  // 42 unowned
+  std::vector<QueryItem> items(2 * ids.size() + 1);
+  std::vector<ShardSlot> slots;
+  for (size_t k = 0; k < ids.size(); ++k) {
+    size_t pos = 2 * k + 1;
+    items[pos].source_id = ids[k];
+    slots.push_back({pos, ids[k]});
+  }
+  const Interval untouched(-1.0, -1.0);
+  for (size_t pos = 0; pos < items.size(); pos += 2) {
+    items[pos].interval = untouched;
+  }
 
-    const int64_t fallbacks_before = counters.shared_fallbacks.load();
-    shard.SettleIntervals(slots, &items, kNow);
-    const int64_t fallbacks = counters.shared_fallbacks.load() -
-                              fallbacks_before;
+  const int64_t fallbacks_before = counters.shared_fallbacks.load();
+  shard.SettleIntervals(slots, &items, kNow);
+  const int64_t fallbacks = counters.shared_fallbacks.load() -
+                            fallbacks_before;
 #if APC_OBS
-    EXPECT_EQ(fallbacks, mode == ReadLockMode::kSeqlock ? 1 : 0)
-        << "mode " << static_cast<int>(mode);
+  EXPECT_EQ(fallbacks, 1);
 #else
-    EXPECT_EQ(fallbacks, 0);
+  EXPECT_EQ(fallbacks, 0);
 #endif
-    EXPECT_EQ(counters.seqlock_retries.load(), 0);
+  EXPECT_EQ(counters.seqlock_retries.load(), 0);
 
-    int bounded = 0;
-    int unbounded = 0;
-    for (const auto& [pos, id] : slots) {
-      Interval visible = shard.VisibleInterval(id, kNow);
-      EXPECT_EQ(items[pos].interval, visible) << "id " << id;
-      (visible.IsUnbounded() ? unbounded : bounded) += 1;
-      Interval snapshot(-2.0, -2.0);
-      if (mode == ReadLockMode::kSeqlock) {
-        EXPECT_TRUE(shard.TrySnapshot(id, kNow, &snapshot));
-        EXPECT_EQ(snapshot, visible) << "id " << id;
-      } else {
-        EXPECT_FALSE(shard.TrySnapshot(id, kNow, &snapshot));
-        EXPECT_EQ(snapshot, Interval(-2.0, -2.0)) << "left alone";
-      }
-    }
-    EXPECT_GT(bounded, 0);
-    EXPECT_GT(unbounded, 1) << "an evicted id and the unowned one";
-    for (size_t pos = 0; pos < items.size(); pos += 2) {
-      EXPECT_EQ(items[pos].interval, untouched) << "position " << pos;
-    }
+  int bounded = 0;
+  int unbounded = 0;
+  for (const auto& [pos, id] : slots) {
+    Interval visible = shard.VisibleInterval(id, kNow);
+    EXPECT_EQ(items[pos].interval, visible) << "id " << id;
+    (visible.IsUnbounded() ? unbounded : bounded) += 1;
+    Interval snapshot(-2.0, -2.0);
+    EXPECT_TRUE(shard.TrySnapshot(id, kNow, &snapshot));
+    EXPECT_EQ(snapshot, visible) << "id " << id;
+  }
+  EXPECT_GT(bounded, 0);
+  EXPECT_GT(unbounded, 1) << "an evicted id and the unowned one";
+  for (size_t pos = 0; pos < items.size(); pos += 2) {
+    EXPECT_EQ(items[pos].interval, untouched) << "position " << pos;
   }
 }
 
@@ -872,47 +829,42 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
 }
 
 // Direct (driver-less) races: raw ExecuteQuery and PointRead callers
-// against raw TickAll callers, exercising every read-lock mode's snapshot
-// path (seqlock validation + fallback, shared acquisition, exclusive
-// baseline) without any bus in between.
-TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuaranteeInEveryMode) {
+// against raw TickAll callers, exercising the snapshot path (seqlock
+// validation + shared-lock fallback) without any bus in between.
+TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuarantee) {
   constexpr int kSources = 32;
-  for (ReadLockMode mode : kAllModes) {
-    EngineConfig config;
-    config.num_shards = 2;
-    config.system.cache_capacity = 24;
-    config.read_lock_mode = mode;
-    ShardedEngine engine(config, MakeSources(kSources));
-    engine.PopulateInitial(0);
+  EngineConfig config;
+  config.num_shards = 2;
+  config.system.cache_capacity = 24;
+  ShardedEngine engine(config, MakeSources(kSources));
+  engine.PopulateInitial(0);
 
-    std::atomic<bool> stop{false};
-    std::atomic<int64_t> violations{0};
-    std::thread ticker([&] {
-      for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
-        engine.TickAll(t);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> violations{0};
+  std::thread ticker([&] {
+    for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
+      engine.TickAll(t);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      QueryGenerator gen(MakeWorkload(kSources),
+                         kSeed + static_cast<uint64_t>(r));
+      for (int q = 0; q < 200; ++q) {
+        Query query = gen.Next();
+        Interval result = (q % 4 == 3)
+                              ? engine.PointRead(query.source_ids.front(),
+                                                 query.constraint, q)
+                              : engine.ExecuteQuery(query, q);
+        if (result.Width() > query.constraint + 1e-9) ++violations;
       }
     });
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&, r] {
-        QueryGenerator gen(MakeWorkload(kSources),
-                           kSeed + static_cast<uint64_t>(r));
-        for (int q = 0; q < 200; ++q) {
-          Query query = gen.Next();
-          Interval result = (q % 4 == 3)
-                                ? engine.PointRead(query.source_ids.front(),
-                                                   query.constraint, q)
-                                : engine.ExecuteQuery(query, q);
-          if (result.Width() > query.constraint + 1e-9) ++violations;
-        }
-      });
-    }
-    for (auto& reader : readers) reader.join();
-    stop.store(true);
-    ticker.join();
-    EXPECT_EQ(violations.load(), 0)
-        << "constraint violated in mode " << static_cast<int>(mode);
   }
+  for (auto& reader : readers) reader.join();
+  stop.store(true);
+  ticker.join();
+  EXPECT_EQ(violations.load(), 0) << "constraint violated";
 }
 
 // Satellite: EngineConfig is validated in full — a zero-capacity bus would

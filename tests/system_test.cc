@@ -120,6 +120,25 @@ TEST(CacheSystemTest, MaxQueryUsesCandidateElimination) {
   EXPECT_TRUE(result.Contains(100.0));
 }
 
+// A query ranges over a set of values: an id named twice is pulled,
+// charged and adapted once, and its exact value fills every occurrence.
+TEST(CacheSystemTest, RepeatedIdIsPulledOnce) {
+  CacheSystem system(Config(),
+                     MakeSeriesSources({{5.0, 5.0}, {100.0, 100.0}}, 8.0));
+  system.PopulateInitial(0);
+  system.costs().BeginMeasurement(0);
+
+  Interval sum = system.ExecuteQuery({AggregateKind::kSum, {0, 0, 1}, 0.0}, 1);
+  EXPECT_EQ(system.costs().query_refreshes(), 2);
+  EXPECT_EQ(sum, Interval::Exact(110.0));
+  EXPECT_DOUBLE_EQ(system.source(0)->raw_width(), 4.0) << "halved once";
+
+  Interval max = system.ExecuteQuery({AggregateKind::kMax, {1, 0, 1}, 0.0}, 2);
+  EXPECT_EQ(system.costs().query_refreshes(), 3);
+  EXPECT_EQ(max, Interval::Exact(100.0));
+  EXPECT_DOUBLE_EQ(system.source(1)->raw_width(), 2.0) << "halved twice";
+}
+
 TEST(CacheSystemTest, UncachedValueReadThroughQuery) {
   // Capacity 1 with two sources: one stays uncached; a query touching it
   // must pull it from the source.

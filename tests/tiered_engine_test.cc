@@ -18,10 +18,6 @@ namespace {
 
 constexpr uint64_t kSeed = 4001;
 
-constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared,
-                                      ReadLockMode::kExclusive};
-
 HierarchyConfig SequentialConfig(int sources, int edges) {
   HierarchyConfig config;
   config.num_sources = sources;
@@ -89,15 +85,14 @@ TEST(TieredConfigTest, Validation) {
 /// per (edge, value)), so the guarantee holds for ANY edge and shard
 /// count; the 1-edge/1-shard case is the pinned acceptance criterion.
 void ExpectTieredLockstepParity(int num_sources, int num_edges,
-                                int num_shards, ReadLockMode mode,
-                                int64_t ticks, uint64_t stream_seed) {
+                                int num_shards, int64_t ticks,
+                                uint64_t stream_seed) {
   HierarchyConfig seq_config = SequentialConfig(num_sources, num_edges);
   HierarchicalSystem sequential(seq_config,
                                 WalkStreams(num_sources, stream_seed), kSeed);
   sequential.BeginMeasurement(0);
 
   TieredConfig tiered_config = TieredFrom(seq_config, num_shards, kSeed);
-  tiered_config.read_lock_mode = mode;
   TieredEngine tiered(tiered_config, WalkStreams(num_sources, stream_seed));
   tiered.PopulateInitial(0);
   tiered.BeginMeasurement(0);
@@ -161,22 +156,17 @@ void ExpectTieredLockstepParity(int num_sources, int num_edges,
 
 // The pinned acceptance criterion: 1 edge / 1 shard / 1 thread.
 TEST(TieredEngineTest, LockstepParityOneEdgeOneShard) {
-  for (ReadLockMode mode : kAllModes) {
-    ExpectTieredLockstepParity(/*num_sources=*/6, /*num_edges=*/1,
-                               /*num_shards=*/1, mode, /*ticks=*/400,
-                               kSeed ^ 0x11);
-  }
+  ExpectTieredLockstepParity(/*num_sources=*/6, /*num_edges=*/1,
+                             /*num_shards=*/1, /*ticks=*/400, kSeed ^ 0x11);
 }
 
 // Per-entity policy RNG streams make the guarantee independent of the
 // edge count and even of the shard partition (lockstep, one thread).
 TEST(TieredEngineTest, LockstepParityMultiEdgeMultiShard) {
   ExpectTieredLockstepParity(/*num_sources=*/8, /*num_edges=*/3,
-                             /*num_shards=*/1, ReadLockMode::kSeqlock,
-                             /*ticks=*/300, kSeed ^ 0x22);
+                             /*num_shards=*/1, /*ticks=*/300, kSeed ^ 0x22);
   ExpectTieredLockstepParity(/*num_sources=*/8, /*num_edges=*/3,
-                             /*num_shards=*/3, ReadLockMode::kSeqlock,
-                             /*ticks=*/300, kSeed ^ 0x22);
+                             /*num_shards=*/3, /*ticks=*/300, kSeed ^ 0x22);
 }
 
 // Updates delivered through the bus (tick-all and per-source events) must
@@ -314,62 +304,57 @@ TEST(TieredEngineTest, EscalationChargingUnderLanPushLoss) {
 TEST(TieredEngineTest, FanOutCorrectUnderConcurrentEdgeReads) {
   constexpr int kSources = 24;
   constexpr int kEdges = 3;
-  for (ReadLockMode mode : kAllModes) {
-    HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
-    TieredConfig config = TieredFrom(seq_config, 2, kSeed);
-    config.read_lock_mode = mode;
-    TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0x66));
-    engine.PopulateInitial(0);
+  HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
+  TieredConfig config = TieredFrom(seq_config, 2, kSeed);
+  TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0x66));
+  engine.PopulateInitial(0);
 
-    std::atomic<bool> stop{false};
-    std::atomic<int64_t> ticks{0};
-    std::thread ticker([&] {
-      for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
-        engine.TickAll(t);
-        ticks.store(t, std::memory_order_relaxed);
-      }
-    });
-    std::thread checker([&] {
-      // The invariant is checked mid-run, racing the ticker's fan-outs.
-      while (!stop.load(std::memory_order_relaxed)) {
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> ticks{0};
+  std::thread ticker([&] {
+    for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
+      engine.TickAll(t);
+      ticks.store(t, std::memory_order_relaxed);
+    }
+  });
+  std::thread checker([&] {
+    // The invariant is checked mid-run, racing the ticker's fan-outs.
+    while (!stop.load(std::memory_order_relaxed)) {
+      int64_t now = ticks.load(std::memory_order_relaxed);
+      ASSERT_TRUE(engine.DerivedInvariantHolds(now))
+          << "A_edge ⊉ A_regional observed mid-run";
+    }
+  });
+  std::vector<std::thread> readers;
+  std::atomic<int64_t> violations{0};
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(kSeed + 10 + static_cast<uint64_t>(r));
+      for (int q = 0; q < 400; ++q) {
+        int edge = static_cast<int>(rng.UniformInt(0, kEdges - 1));
+        int id = static_cast<int>(rng.UniformInt(0, kSources - 1));
+        double constraint = rng.Uniform(0.0, 25.0);
         int64_t now = ticks.load(std::memory_order_relaxed);
-        ASSERT_TRUE(engine.DerivedInvariantHolds(now))
-            << "A_edge ⊉ A_regional observed mid-run in mode "
-            << static_cast<int>(mode);
+        Interval answer = engine.Read(edge, id, constraint, now);
+        if (answer.Width() > constraint + 1e-9) ++violations;
       }
     });
-    std::vector<std::thread> readers;
-    std::atomic<int64_t> violations{0};
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&, r] {
-        Rng rng(kSeed + 10 + static_cast<uint64_t>(r));
-        for (int q = 0; q < 400; ++q) {
-          int edge = static_cast<int>(rng.UniformInt(0, kEdges - 1));
-          int id = static_cast<int>(rng.UniformInt(0, kSources - 1));
-          double constraint = rng.Uniform(0.0, 25.0);
-          int64_t now = ticks.load(std::memory_order_relaxed);
-          Interval answer = engine.Read(edge, id, constraint, now);
-          if (answer.Width() > constraint + 1e-9) ++violations;
-        }
-      });
-    }
-    for (auto& reader : readers) reader.join();
-    // The readers can finish before the ticker is first scheduled on a
-    // loaded host; stop only once it has completed a tick, so the run
-    // always checks the invariant across at least one fan-out.
-    while (ticks.load(std::memory_order_relaxed) < 1) {
-      std::this_thread::yield();
-    }
-    stop.store(true);
-    checker.join();
-    ticker.join();
-
-    EXPECT_EQ(violations.load(), 0)
-        << "constraint violated in mode " << static_cast<int>(mode);
-    EXPECT_GT(ticks.load(), 0) << "ticker made no progress";
-    EXPECT_TRUE(engine.DerivedInvariantHolds(ticks.load()));
-    EXPECT_EQ(engine.counters().reads.load(), 3 * 400);
   }
+  for (auto& reader : readers) reader.join();
+  // The readers can finish before the ticker is first scheduled on a
+  // loaded host; stop only once it has completed a tick, so the run
+  // always checks the invariant across at least one fan-out.
+  while (ticks.load(std::memory_order_relaxed) < 1) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  checker.join();
+  ticker.join();
+
+  EXPECT_EQ(violations.load(), 0) << "constraint violated";
+  EXPECT_GT(ticks.load(), 0) << "ticker made no progress";
+  EXPECT_TRUE(engine.DerivedInvariantHolds(ticks.load()));
+  EXPECT_EQ(engine.counters().reads.load(), 3 * 400);
 }
 
 // Every read lands in exactly one outcome bucket, and loose reads are
